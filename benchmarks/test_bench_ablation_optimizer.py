@@ -36,7 +36,7 @@ def run_optimizer_ablation(seed: int = 0) -> dict[float, dict[str, float]]:
             validation_order=truth[::3],
             budget_dollars=budget,
         )
-        result = engine.sort(spec)
+        result = engine.run_spec(spec)
         order = list(result.order) + [item for item in truth if item not in set(result.order)]
         results[budget] = {
             "strategy": result.strategy,

@@ -79,7 +79,7 @@ def imperative_api() -> None:
         validation_order=truth[::3],  # a small labelled validation sample
         budget_dollars=0.005,
     )
-    result = engine.sort(spec)
+    result = engine.run_spec(spec)
     print(f"engine picked: {result.strategy}")
     print(f"top 3 flavors: {result.order[:3]}")
     print(f"dollars spent: {engine.spent_dollars:.5f}")

@@ -4,7 +4,8 @@ All metadata lives here (no ``pyproject.toml``) so the package installs in
 environments without the ``wheel`` package (``pip install -e .`` needs it
 for PEP 660 editable builds; ``python setup.py develop`` does not).
 
-The core package is stdlib-only at runtime.  Extras:
+The core package's one runtime dependency is numpy (the vector index,
+embeddings, join blocking and Dawid-Skene import it).  Extras:
 
 ``serve``
     uvicorn, for running :func:`repro.service.serve` as a real HTTP
@@ -25,7 +26,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=[],
+    install_requires=["numpy"],
     extras_require={
         "serve": ["uvicorn"],
     },

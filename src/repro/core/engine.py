@@ -31,43 +31,24 @@ pending steps.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core.budget import Budget, BudgetLease
-from repro.core.physical import PhysicalPlan, PhysicalPlanner, ResolvedStrategy
+from repro.core.kinds import kind_of
+from repro.core.physical import PhysicalPlan, PhysicalPlanner
 from repro.core.planner import CostPlanner, PipelineQuote
 from repro.core.session import PromptSession
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
+from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.workflow import StepReport, Workflow, WorkflowReport, WorkflowStep
 from repro.exceptions import SpecError, StoreError
 from repro.llm.base import LLMClient
 from repro.llm.registry import ModelRegistry
 from repro.operators.base import OperatorResult
-from repro.operators.categorize import CategorizeOperator, CategorizeResult
-from repro.operators.cluster import ClusterOperator, ClusterResult
-from repro.operators.filter import FilterOperator, FilterResult
-from repro.operators.impute import ImputeOperator, ImputeResult
-from repro.operators.join import JoinOperator, JoinResult
-from repro.operators.resolve import PairJudgmentResult, ResolveOperator, ResolveResult
-from repro.operators.sort import SortOperator, SortResult
-from repro.operators.top_k import TopKOperator, TopKResult
 from repro.obs import critical_path
 from repro.store.fingerprint import fingerprint_spec
-from repro.tokenizer.cost import Usage
 from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,28 +114,21 @@ class DeclarativeEngine:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _operator_kwargs(self, budget: Budget | BudgetLease | None = None) -> dict:
-        return self.physical.operator_kwargs(budget)
+    @contextmanager
+    def operator_span(self, label: str) -> Iterator[None]:
+        """Trace label plus an ``operator`` span under whatever step span is ambient.
 
-    def _resolve(
-        self, spec: TaskSpec, budget: Budget | BudgetLease | None
-    ) -> ResolvedStrategy:
-        """Resolve the spec's strategy under whichever budget binds the run."""
-        return self.physical.resolve(
-            spec, budget=budget if budget is not None else self.session.budget
-        )
-
-    def _operator_span(self, label: str) -> "ContextManager[Any]":
-        """An ``operator`` span under whatever step span is ambient.
-
-        The label matches the tracer's ``operator=`` trace label
-        (``"<op>:<strategy>"``), so the span waterfall and the trace
-        records name the same work identically.
+        The label is ``"<op>:<strategy>"`` for both, so the span waterfall
+        and the trace records name the same work identically.
         """
         tracker = getattr(self.session, "spans", None)
-        if tracker is None or not tracker.enabled:
-            return nullcontext(None)
-        return tracker.span("operator", label)
+        span = (
+            tracker.span("operator", label)
+            if tracker is not None and tracker.enabled
+            else nullcontext()
+        )
+        with trace_label(operator=label), span:
+            yield
 
     @property
     def stats(self):
@@ -166,248 +140,25 @@ class DeclarativeEngine:
         """Total dollars spent through this engine."""
         return self.session.spent_dollars
 
-    # -- sort ---------------------------------------------------------------------
-
-    def sort(
-        self, spec: SortSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> SortResult:
-        """Execute a sort spec, its strategy resolved by the physical planner."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = SortOperator(
-            self.session.client(budget), spec.criterion, **self._operator_kwargs(budget)
-        )
-        label = f"sort:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- resolve ------------------------------------------------------------------
-
-    def resolve(
-        self, spec: ResolveSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> PairJudgmentResult | ResolveResult:
-        """Execute a resolve spec.
-
-        With ``pairs`` the spec is a pair-judgment task (the Table 3
-        setting) and returns a :class:`PairJudgmentResult`.  With records
-        only, it is a whole-corpus clustering task and returns a
-        :class:`ResolveResult` whose ``clusters`` hold record indices.
-        """
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = ResolveOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"resolve:{resolved.strategy}"
-        if not spec.pairs:
-            with trace_label(operator=label), self._operator_span(label):
-                result = operator.resolve(
-                    list(spec.records), strategy=resolved.strategy, **resolved.options
-                )
-            self.physical.record_run(spec, resolved, result)
-            self.stats.record_dedup(
-                inputs=len(spec.records), survivors=len(result.clusters)
-            )
-            return result
-        options = dict(resolved.options)
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.judge_pairs(
-                list(spec.pairs),
-                strategy=resolved.strategy,
-                corpus=list(spec.records) or None,
-                neighbors_k=options.pop("neighbors_k", spec.neighbors_k),
-                **options,
-            )
-        self.physical.record_run(spec, resolved, result)
-        self.stats.record_pair_match(
-            judged=len(result.judgments),
-            duplicates=sum(1 for judgment in result.judgments if judgment.is_duplicate),
-        )
-        return result
-
-    # -- impute -------------------------------------------------------------------
-
-    def impute(
-        self, spec: ImputeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> ImputeResult:
-        """Execute an impute spec, its strategy resolved by the physical planner."""
-        spec.validate()
-        assert spec.data is not None  # validate() guarantees this
-        resolved = self._resolve(spec, budget)
-        operator = ImputeOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"impute:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                spec.data, strategy=resolved.strategy, n_examples=spec.n_examples
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- filter -------------------------------------------------------------------
-
-    def filter(
-        self, spec: FilterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> FilterResult:
-        """Execute a filter spec, applying conjunctive predicates in order.
-
-        A multi-predicate (fused) spec checks each predicate over the
-        survivors of the previous one, so later predicates never spend calls
-        on items an earlier predicate already rejected.  Strategies resolve
-        *per predicate* (see :meth:`PhysicalPlanner.resolve_filter`): with
-        validation labels, a cheap ``per_item`` pass on an easy predicate
-        can precede an ensemble vote on the hard one.  Each predicate's
-        observed selectivity is recorded into the session's runtime stats.
-        """
-        spec.validate()
-        plans = self.physical.resolve_filter(
-            spec, budget=budget if budget is not None else self.session.budget
-        )
-        survivors = [str(item) for item in spec.items]
-        usage = Usage()
-        cost = 0.0
-        votes = 0
-        decisions = {item: True for item in survivors}
-        result: FilterResult | None = None
-        strategies: dict[str, str] = {}
-        executed: list[str] = []
-        for predicate, resolved in plans:
-            strategies[predicate] = resolved.strategy
-            if not survivors:
-                break
-            if resolved.strategy not in executed:
-                executed.append(resolved.strategy)
-            operator = FilterOperator(
-                self.session.client(budget), predicate, **self._operator_kwargs(budget)
-            )
-            label = f"filter:{resolved.strategy}"
-            with trace_label(operator=label), self._operator_span(label):
-                result = operator.run(
-                    survivors, strategy=resolved.strategy, **resolved.options
-                )
-            for item in survivors:
-                decisions[item] = result.decisions.get(item, False)
-            self.stats.record_filter(
-                predicate, evaluated=len(survivors), kept=len(result.kept)
-            )
-            survivors = list(result.kept)
-            usage.add(result.usage)
-            cost += result.cost
-            votes += result.votes_used
-        merged = FilterResult(
-            strategy="+".join(executed) if executed else plans[0][1].strategy,
-            kept=survivors,
-            decisions=decisions,
-            votes_used=votes,
-        )
-        merged.usage = usage
-        merged.cost = cost
-        if result is not None:
-            merged.metadata = dict(result.metadata)
-        merged.metadata["predicates"] = list(spec.all_predicates)
-        merged.metadata["predicate_strategies"] = strategies
-        return merged
-
-    # -- categorize ---------------------------------------------------------------
-
-    def categorize(
-        self, spec: CategorizeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> CategorizeResult:
-        """Execute a categorize spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = CategorizeOperator(
-            self.session.client(budget), list(spec.categories), **self._operator_kwargs(budget)
-        )
-        label = f"categorize:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- top-k --------------------------------------------------------------------
-
-    def top_k(
-        self, spec: TopKSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> TopKResult:
-        """Execute a top-k spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = TopKOperator(
-            self.session.client(budget), spec.criterion, **self._operator_kwargs(budget)
-        )
-        label = f"top_k:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), k=spec.k, strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- join ---------------------------------------------------------------------
-
-    def join(
-        self, spec: JoinSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> JoinResult:
-        """Execute a join spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = JoinOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"join:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.left), list(spec.right), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        self.stats.record_join(
-            left=len(spec.left),
-            matched=len({left_index for left_index, _ in result.matches}),
-        )
-        return result
-
-    # -- cluster ------------------------------------------------------------------
-
-    def cluster(
-        self, spec: ClusterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> ClusterResult:
-        """Execute a cluster spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = ClusterOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"cluster:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- pipelines ----------------------------------------------------------------
+    # -- execution ----------------------------------------------------------------
 
     def run_spec(
         self, spec: TaskSpec, *, budget: Budget | BudgetLease | None = None
     ) -> Any:
-        """Execute any supported task spec, dispatching on its type."""
-        if isinstance(spec, SortSpec):
-            return self.sort(spec, budget=budget)
-        if isinstance(spec, ResolveSpec):
-            return self.resolve(spec, budget=budget)
-        if isinstance(spec, ImputeSpec):
-            return self.impute(spec, budget=budget)
-        if isinstance(spec, FilterSpec):
-            return self.filter(spec, budget=budget)
-        if isinstance(spec, CategorizeSpec):
-            return self.categorize(spec, budget=budget)
-        if isinstance(spec, TopKSpec):
-            return self.top_k(spec, budget=budget)
-        if isinstance(spec, JoinSpec):
-            return self.join(spec, budget=budget)
-        if isinstance(spec, ClusterSpec):
-            return self.cluster(spec, budget=budget)
-        raise SpecError(f"cannot execute spec type {type(spec).__name__}")
+        """Execute any task spec through its operator kind's runner.
+
+        The kind (see :mod:`repro.core.kinds`) resolves the strategy through
+        the physical planner, runs its operator under an ``operator`` span,
+        and feeds the run back into the session's runtime stats.  ``budget``
+        (a pipeline step's lease) binds the run instead of the session
+        budget.  A resolve spec with ``pairs`` returns a
+        :class:`~repro.operators.resolve.PairJudgmentResult`; with records
+        only, a :class:`~repro.operators.resolve.ResolveResult` whose
+        ``clusters`` hold record indices.
+        """
+        kind = kind_of(spec)
+        spec.validate()
+        return kind.run(self, spec, budget)
 
     def planner(self, model: str | None = None) -> CostPlanner:
         """A cost planner for ``model`` (defaults to the engine's model).

@@ -11,7 +11,8 @@ an explicit layer with two halves:
 
   1. an explicit ``spec.strategy`` passes through untouched (``"fixed"``);
   2. with a labelled validation sample (sort ``validation_order``, resolve
-     ``validation_labels``, impute ground truth) the
+     ``validation_labels``, impute ground truth — each operator kind's
+     :class:`~repro.core.kinds.Validation` hooks) the
      :class:`~repro.core.optimizer.StrategySelector` measures every
      candidate on the sample and extrapolates (``"validation"``);
   3. otherwise candidates are priced by the :class:`~repro.core.planner.
@@ -37,33 +38,16 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.optimizer import StrategyCandidate, StrategySelector
+from repro.core.kinds import kind_of
+from repro.core.optimizer import StrategySelector
 from repro.core.planner import CostEstimate, CostPlanner
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
-from repro.data.products import ImputationDataset
-from repro.data.record import Dataset
+from repro.core.spec import FilterSpec, PipelineSpec, TaskSpec
 from repro.exceptions import ConfigurationError, SpecError
-from repro.metrics.classification import accuracy as exact_match_accuracy
 from repro.metrics.classification import f1_score
-from repro.metrics.ranking import kendall_tau_b
-from repro.operators.categorize import CategorizeOperator, CategorizeResult
-from repro.operators.filter import FilterOperator, FilterResult
-from repro.operators.impute import ImputeOperator, ImputeResult
-from repro.operators.resolve import PairJudgmentResult, ResolveOperator
-from repro.operators.sort import SortOperator, SortResult
+from repro.operators.filter import FilterOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import Budget, BudgetLease
@@ -518,13 +502,6 @@ class PhysicalPlan:
 
 # -- the planner -----------------------------------------------------------------------
 
-#: Minimum labelled sample sizes before validation-driven selection pays.
-_MIN_SORT_VALIDATION = 3
-_MIN_RESOLVE_VALIDATION = 5
-_MIN_IMPUTE_VALIDATION = 5
-_MIN_FILTER_VALIDATION = 5
-_MIN_CATEGORIZE_VALIDATION = 5
-
 #: How many of the cheapest chat models form the default ensemble when a
 #: filter/categorize spec asks for validation-driven selection without
 #: naming voter models itself.
@@ -600,6 +577,12 @@ class PhysicalPlanner:
             "governor": self.session.governor,
         }
 
+    def build(
+        self, operator_cls: type, *args: Any, budget: "Budget | BudgetLease | None" = None
+    ) -> Any:
+        """An operator of ``operator_cls`` bound to the session under ``budget``."""
+        return operator_cls(self.session.client(budget), *args, **self.operator_kwargs(budget))
+
     # -- resolution ------------------------------------------------------------------
 
     def resolve(
@@ -662,17 +645,8 @@ class PhysicalPlanner:
 
     def would_validate(self, spec: TaskSpec) -> bool:
         """Whether an ``"auto"`` spec qualifies for validation-driven selection."""
-        if isinstance(spec, SortSpec):
-            return len(spec.validation_order) >= _MIN_SORT_VALIDATION
-        if isinstance(spec, ResolveSpec):
-            return bool(spec.pairs) and len(spec.validation_labels) >= _MIN_RESOLVE_VALIDATION
-        if isinstance(spec, ImputeSpec):
-            return self._impute_validation_size(spec) >= _MIN_IMPUTE_VALIDATION
-        if isinstance(spec, FilterSpec):
-            return len(spec.validation_labels) >= _MIN_FILTER_VALIDATION
-        if isinstance(spec, CategorizeSpec):
-            return len(spec.validation_labels) >= _MIN_CATEGORIZE_VALIDATION
-        return False
+        validation = kind_of(spec).validation
+        return validation is not None and validation.size(spec) >= validation.minimum
 
     # -- cost-based selection ---------------------------------------------------------
 
@@ -697,7 +671,8 @@ class PhysicalPlanner:
         pure overhead on the execution hot path) unless ``want_estimate``
         asks for the chosen candidate's quote (physical-plan inspection).
         """
-        candidates = self._cost_candidates(spec)
+        kind = kind_of(spec)
+        candidates = kind.candidates(spec)
         planner = self.cost_planner()
         remaining = self._remaining_dollars(spec, budget)
         considered = tuple(name for name, _ in candidates)
@@ -706,19 +681,19 @@ class PhysicalPlanner:
             for name, candidate_options in candidates:
                 if not self._fits_context(spec, name, planner):
                     continue
-                options = self._run_options(spec, candidate_options)
+                options = kind.run_options(spec, candidate_options)
                 estimate = (
                     self._try_estimate(spec, name, options) if want_estimate else None
                 )
                 return ResolvedStrategy(name, options, "cost", estimate, considered)
             name, candidate_options = candidates[0]
             return ResolvedStrategy(
-                name, self._run_options(spec, candidate_options), "cost", None, considered
+                name, kind.run_options(spec, candidate_options), "cost", None, considered
             )
 
         estimated: list[tuple[str, dict, CostEstimate | None]] = []
         for name, candidate_options in candidates:
-            options = self._run_options(spec, candidate_options)
+            options = kind.run_options(spec, candidate_options)
             estimated.append((name, options, self._try_estimate(spec, name, options)))
 
         for name, options, estimate in estimated:
@@ -738,47 +713,6 @@ class PhysicalPlanner:
             return ResolvedStrategy(name, options, "cost", estimate, considered)
         name, options, estimate = estimated[0]
         return ResolvedStrategy(name, options, "cost", estimate, considered)
-
-    def _cost_candidates(self, spec: TaskSpec) -> list[tuple[str, dict]]:
-        """Quality-preference-ordered candidates per operator (default first)."""
-        if isinstance(spec, SortSpec):
-            return [("pairwise", {}), ("rating", {}), ("single_prompt", {})]
-        if isinstance(spec, ResolveSpec):
-            if spec.pairs:
-                return [
-                    ("transitive", {"neighbors_k": spec.neighbors_k}),
-                    ("pairwise", {}),
-                ]
-            return [("pairwise", {}), ("blocked_pairwise", {}), ("single_prompt", {})]
-        if isinstance(spec, ImputeSpec):
-            return [("hybrid", {}), ("retrieval", {}), ("llm_only", {}), ("knn", {})]
-        if isinstance(spec, FilterSpec):
-            return [("per_item", {})]
-        if isinstance(spec, CategorizeSpec):
-            return [("per_item", {})]
-        if isinstance(spec, TopKSpec):
-            return [("hybrid_rating_comparison", {}), ("rating_only", {})]
-        if isinstance(spec, JoinSpec):
-            return [("blocked", {})]
-        if isinstance(spec, ClusterSpec):
-            return [("two_phase", {}), ("single_prompt", {})]
-        raise SpecError(f"cannot plan strategies for spec type {type(spec).__name__}")
-
-    @staticmethod
-    def _run_options(spec: TaskSpec, candidate_options: Mapping[str, Any]) -> dict:
-        """Options the chosen strategy runs with.
-
-        Sort and pair-judgment resolves take only the candidate's own
-        options (their strategy choosers always owned the option set);
-        impute takes none (``n_examples`` travels on the spec); the other
-        operators keep the author's ``strategy_options`` with the
-        candidate's merged over them.
-        """
-        if isinstance(spec, SortSpec) or (isinstance(spec, ResolveSpec) and spec.pairs):
-            return dict(candidate_options)
-        if isinstance(spec, ImputeSpec):
-            return {}
-        return {**spec.strategy_options, **candidate_options}
 
     def _remaining_dollars(
         self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
@@ -814,7 +748,7 @@ class PhysicalPlanner:
         """Whole-list strategies must fit the model context to be eligible."""
         if strategy != "single_prompt":
             return True
-        items = self._context_items(spec)
+        items = kind_of(spec).context_items(spec)
         if not items:
             return True
         try:
@@ -822,171 +756,41 @@ class PhysicalPlanner:
         except ConfigurationError:
             return True
 
-    @staticmethod
-    def _context_items(spec: TaskSpec) -> list[str]:
-        if isinstance(spec, SortSpec) or isinstance(spec, ClusterSpec):
-            return [str(item) for item in spec.items]
-        if isinstance(spec, ResolveSpec):
-            return [str(record) for record in spec.records]
-        return []
-
     # -- validation-driven selection --------------------------------------------------
 
     def _resolve_by_validation(
         self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
     ) -> ResolvedStrategy | None:
-        """Measure candidates on the spec's labelled sample, when it has one."""
+        """Measure the kind's candidates on the spec's labelled sample.
+
+        Each candidate runs on the sample under ``budget``; the
+        :class:`~repro.core.optimizer.StrategySelector` scores it against
+        the labels, extrapolates its cost to the full input, and picks under
+        the spec's budget and accuracy target.
+        """
         if not self.would_validate(spec):
             return None
-        if isinstance(spec, SortSpec):
-            strategy, options = self._validate_sort(spec, budget)
-        elif isinstance(spec, ResolveSpec):
-            strategy, options = self._validate_resolve(spec, budget)
-        elif isinstance(spec, ImputeSpec):
-            strategy, options = self._validate_impute(spec, budget), {}
-        elif isinstance(spec, FilterSpec):
-            strategy, options = self._validate_filter(spec, budget)
-        elif isinstance(spec, CategorizeSpec):
-            strategy, options = self._validate_categorize(spec, budget)
-        else:  # pragma: no cover - would_validate only matches the types above
-            return None
+        validation = kind_of(spec).validation
+        assert validation is not None  # would_validate checked it
+        build = partial(self.build, budget=budget)
+        selector = StrategySelector(
+            run_candidate=lambda candidate: validation.run(build, spec, candidate),
+            score=lambda result: validation.score(spec, result),
+            validation_size=validation.size(spec),
+            full_size=validation.full_size(spec),
+        )
+        chosen = selector.select(
+            validation.candidates(spec, self._ensemble_models(spec)),
+            budget_dollars=spec.budget_dollars,
+            accuracy_target=spec.accuracy_target,
+        )
+        strategy, options = chosen.candidate.name, dict(chosen.candidate.options)
         return ResolvedStrategy(
             strategy=strategy,
-            options=dict(options),
+            options=options,
             decided_by="validation",
             estimate=self._try_estimate(spec, strategy, options),
         )
-
-    @staticmethod
-    def _impute_validation_size(spec: ImputeSpec) -> int:
-        if spec.data is None:
-            return 0
-        return min(spec.validation_size, len(spec.data.queries))
-
-    def _validate_sort(
-        self, spec: SortSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        validation_items = list(spec.validation_order)
-        candidates = [
-            StrategyCandidate(name="single_prompt", cost_scaling="constant"),
-            StrategyCandidate(name="rating", cost_scaling="linear"),
-            StrategyCandidate(name="pairwise", cost_scaling="quadratic"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> SortResult:
-            operator = SortOperator(
-                self.session.client(budget), spec.criterion, **self.operator_kwargs(budget)
-            )
-            return operator.run(validation_items, strategy=candidate.name, **candidate.options)
-
-        def score(result: SortResult) -> float:
-            placed = set(result.order)
-            order = list(result.order) + [
-                item for item in validation_items if item not in placed
-            ]
-            tau = kendall_tau_b(order, validation_items)
-            return (tau + 1.0) / 2.0
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(validation_items),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
-    def _validate_resolve(
-        self, spec: ResolveSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        labels = dict(spec.validation_labels)
-        validation_pairs = list(labels)
-        candidates = [
-            StrategyCandidate(name="pairwise", cost_scaling="linear"),
-            StrategyCandidate(
-                name="transitive", options={"neighbors_k": spec.neighbors_k}, cost_scaling="linear"
-            ),
-            StrategyCandidate(name="proxy_hybrid", cost_scaling="linear"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> PairJudgmentResult:
-            operator = ResolveOperator(
-                self.session.client(budget), **self.operator_kwargs(budget)
-            )
-            return operator.judge_pairs(
-                validation_pairs,
-                strategy=candidate.name,
-                corpus=list(spec.records) or None,
-                **candidate.options,
-            )
-
-        def score(result: PairJudgmentResult) -> float:
-            predictions = [judgment.is_duplicate for judgment in result.judgments]
-            truth = [labels[pair] for pair in validation_pairs]
-            return f1_score(predictions, truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(validation_pairs),
-            full_size=len(spec.pairs),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
-    def _validate_impute(
-        self, spec: ImputeSpec, budget: "Budget | BudgetLease | None"
-    ) -> str:
-        data = spec.data
-        assert data is not None  # caller checked the validation size
-        validation_size = self._impute_validation_size(spec)
-        validation_records = data.queries.records[:validation_size]
-        validation_data = ImputationDataset(
-            name=f"{data.name}-validation",
-            target_attribute=data.target_attribute,
-            queries=Dataset(validation_records, name=f"{data.name}-validation-queries"),
-            reference=data.reference,
-            ground_truth={
-                record.record_id: data.ground_truth[record.record_id]
-                for record in validation_records
-            },
-        )
-        candidates = [
-            StrategyCandidate(name="knn", cost_scaling="linear"),
-            StrategyCandidate(name="hybrid", cost_scaling="linear"),
-            StrategyCandidate(name="retrieval", cost_scaling="linear"),
-            StrategyCandidate(name="llm_only", cost_scaling="linear"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> ImputeResult:
-            operator = ImputeOperator(
-                self.session.client(budget), **self.operator_kwargs(budget)
-            )
-            return operator.run(validation_data, strategy=candidate.name, n_examples=spec.n_examples)
-
-        def score(result: ImputeResult) -> float:
-            return exact_match_accuracy(result.predictions, validation_data.ground_truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=validation_size,
-            full_size=len(data.queries),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name
 
     def _ensemble_models(self, spec: TaskSpec) -> list[str]:
         """Voter models for filter/categorize ensemble candidates.
@@ -1002,70 +806,6 @@ class PhysicalPlanner:
             return [str(model) for model in explicit]
         by_cost = self.session.registry.chat_models_by_cost()
         return [model.name for model in by_cost[:_DEFAULT_ENSEMBLE_SIZE]]
-
-    def _validate_filter(
-        self, spec: FilterSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        """Pick a filter strategy by measuring candidates on the labelled items.
-
-        Labels are for the *conjunction* of the spec's predicates, so each
-        candidate runs the predicates sequentially over a shrinking survivor
-        set — exactly how the engine executes the full spec — and is scored
-        by the F1 of its final keep/drop decisions against the labels.
-        """
-        labels = {str(item): bool(keep) for item, keep in spec.validation_labels.items()}
-        sample = list(labels)
-        models = self._ensemble_models(spec)
-        candidates = [StrategyCandidate(name="per_item", cost_scaling="linear")]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-            candidates.append(
-                StrategyCandidate(
-                    name="adaptive", options={"models": models}, cost_scaling="linear"
-                )
-            )
-
-        def run_candidate(candidate: StrategyCandidate) -> FilterResult:
-            decisions = {item: True for item in sample}
-            survivors = sample
-            merged = FilterResult(strategy=candidate.name, decisions=decisions)
-            for predicate in spec.all_predicates:
-                if not survivors:
-                    break
-                operator = FilterOperator(
-                    self.session.client(budget), predicate, **self.operator_kwargs(budget)
-                )
-                result = operator.run(survivors, strategy=candidate.name, **candidate.options)
-                for item in survivors:
-                    decisions[item] = result.decisions.get(item, False)
-                survivors = list(result.kept)
-                merged.usage.add(result.usage)
-                merged.cost += result.cost
-                merged.votes_used += result.votes_used
-            merged.kept = [item for item in sample if decisions[item]]
-            return merged
-
-        def score(result: FilterResult) -> float:
-            predictions = [result.decisions.get(item, False) for item in sample]
-            truth = [labels[item] for item in sample]
-            return f1_score(predictions, truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(sample),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
 
     def resolve_filter(
         self,
@@ -1085,16 +825,9 @@ class PhysicalPlanner:
         without giving up conjunction-level accuracy.
         """
         predicates = list(spec.all_predicates)
-        if spec.strategy != "auto":
-            fixed = ResolvedStrategy(
-                strategy=spec.strategy,
-                options=dict(spec.strategy_options),
-                decided_by="fixed",
-                considered=(spec.strategy,),
-            )
-            return [(predicate, fixed) for predicate in predicates]
         if (
-            len(predicates) > 1
+            spec.strategy == "auto"
+            and len(predicates) > 1
             and len(predicates) <= _MAX_PER_PREDICATE_SEARCH
             and self.would_validate(spec)
         ):
@@ -1120,19 +853,9 @@ class PhysicalPlanner:
         labels = {str(item): bool(keep) for item, keep in spec.validation_labels.items()}
         sample = list(labels)
         truth = [labels[item] for item in sample]
-        models = self._ensemble_models(spec)
-        candidates = [StrategyCandidate(name="per_item", cost_scaling="linear")]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-            candidates.append(
-                StrategyCandidate(
-                    name="adaptive", options={"models": models}, cost_scaling="linear"
-                )
-            )
+        validation = kind_of(spec).validation
+        assert validation is not None  # the filter kind validates
+        candidates = validation.candidates(spec, self._ensemble_models(spec))
         predicates = list(spec.all_predicates)
         considered = tuple(candidate.name for candidate in candidates)
 
@@ -1140,9 +863,7 @@ class PhysicalPlanner:
         measured: dict[tuple[int, int], tuple[dict[str, bool], float]] = {}
         for p, predicate in enumerate(predicates):
             for c, candidate in enumerate(candidates):
-                operator = FilterOperator(
-                    self.session.client(budget), predicate, **self.operator_kwargs(budget)
-                )
+                operator = self.build(FilterOperator, predicate, budget=budget)
                 result = operator.run(sample, strategy=candidate.name, **candidate.options)
                 measured[(p, c)] = (dict(result.decisions), result.cost)
 
@@ -1178,50 +899,6 @@ class PhysicalPlanner:
             for p, c in enumerate(chosen)
         ]
 
-    def _validate_categorize(
-        self, spec: CategorizeSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        """Pick a categorize strategy by accuracy on the labelled items."""
-        labels = {str(item): str(label) for item, label in spec.validation_labels.items()}
-        sample = list(labels)
-        models = self._ensemble_models(spec)
-        candidates = [
-            StrategyCandidate(name="per_item", cost_scaling="linear"),
-            StrategyCandidate(
-                name="self_consistency", options={"n_samples": 3}, cost_scaling="linear"
-            ),
-        ]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-
-        def run_candidate(candidate: StrategyCandidate) -> CategorizeResult:
-            operator = CategorizeOperator(
-                self.session.client(budget),
-                list(spec.categories),
-                **self.operator_kwargs(budget),
-            )
-            return operator.run(sample, strategy=candidate.name, **candidate.options)
-
-        def score(result: CategorizeResult) -> float:
-            return exact_match_accuracy(result.assignments, labels)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(sample),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
     # -- feedback --------------------------------------------------------------------
 
     def record_run(self, spec: TaskSpec, resolved: ResolvedStrategy, result: Any) -> None:
@@ -1232,9 +909,10 @@ class PhysicalPlanner:
         ``"auto"`` — so a budget-downgraded or validation-selected run can
         only feed the ratio of its own strategy, not poison the default's
         (the planner maps auto-labelled quotes to the default strategy's
-        key when it looks ratios up).  Filter specs are excluded — their
-        error is explained by predicate selectivity, which is recorded
-        separately (applying both would double-correct).
+        key when it looks ratios up).  The kind's own observations (dedup
+        survivors, pair match and join rates) are recorded first.  Filter
+        runs never come here: their error is explained by predicate
+        selectivity, which the filter runner records per predicate.
 
         This prices one structural (stats-free) estimate per run — a local
         tokenizer arithmetic pass.  Unlike the fixed-path estimate
@@ -1242,8 +920,9 @@ class PhysicalPlanner:
         denominator), and it is negligible next to the 1..O(n²) LLM calls
         the operator itself just made.
         """
-        if isinstance(spec, FilterSpec):
-            return
+        kind = kind_of(spec)
+        if kind.observe is not None:
+            kind.observe(self.stats, spec, result)
         try:
             executed = replace(
                 spec,

@@ -20,53 +20,18 @@ apportions the remaining budget across pending steps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
+from repro.core.kinds import kind_of
+from repro.core.spec import PipelineSpec, TaskSpec
 from repro.exceptions import ConfigurationError, SpecError
-from repro.llm.prompts import (
-    categorize_prompt,
-    duplicate_check_prompt,
-    impute_prompt,
-    pairwise_comparison_prompt,
-    predicate_check_prompt,
-)
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (physical imports planner)
     from repro.core.physical import RuntimeStats
-
-#: The strategy each operator's unconstrained ``"auto"`` resolves to (the
-#: physical planner's first preference).  Estimates of ``"auto"`` specs are
-#: priced at these shapes, and observed call ratios — recorded under the
-#: strategy that actually executed — are looked up through this mapping so
-#: an auto quote finds the default strategy's ratio.  A pairs-mode resolve
-#: defaults to "transitive" instead (handled where the mode is known).
-AUTO_DEFAULT_STRATEGY: Mapping[str, str] = {
-    "sort": "pairwise",
-    "resolve": "pairwise",
-    "impute": "hybrid",
-    "filter": "per_item",
-    "categorize": "per_item",
-    "top_k": "hybrid_rating_comparison",
-    "join": "blocked",
-    "cluster": "two_phase",
-}
 
 #: Rough token overhead of the structured prompt scaffolding per call
 #: (task header, instructions, numbering).
@@ -313,7 +278,10 @@ class CostPlanner:
             raise ConfigurationError("cannot plan over an empty item list")
         return sum(self.tokenizer.count(str(item)) for item in items) / len(items)
 
-    def _estimate(self, strategy: str, calls: int, prompt_tokens: float, completion_tokens: float) -> CostEstimate:
+    def estimate(
+        self, strategy: str, calls: int, prompt_tokens: float, completion_tokens: float
+    ) -> CostEstimate:
+        """Price a call shape under the planner's model."""
         usage = Usage(
             prompt_tokens=int(round(prompt_tokens)),
             completion_tokens=int(round(completion_tokens)),
@@ -331,7 +299,7 @@ class CostPlanner:
     def single_prompt(self, items: Sequence[str]) -> CostEstimate:
         """One prompt containing every item; the answer echoes the whole list."""
         item_tokens = self._average_item_tokens(items) * len(items)
-        return self._estimate(
+        return self.estimate(
             "single_prompt",
             calls=1,
             prompt_tokens=item_tokens + _PROMPT_OVERHEAD_TOKENS,
@@ -346,7 +314,7 @@ class CostPlanner:
         calls = -(-len(items) // batch_size)  # ceiling division
         prompt_tokens = calls * _PROMPT_OVERHEAD_TOKENS + len(items) * average
         completion_tokens = len(items) * _SHORT_COMPLETION_TOKENS
-        return self._estimate("per_item", calls, prompt_tokens, completion_tokens)
+        return self.estimate("per_item", calls, prompt_tokens, completion_tokens)
 
     def pairwise(self, items: Sequence[str]) -> CostEstimate:
         """One comparison task per unordered pair of items."""
@@ -354,7 +322,7 @@ class CostPlanner:
         calls = len(items) * (len(items) - 1) // 2
         prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + 2 * average)
         completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pairwise", calls, prompt_tokens, completion_tokens)
+        return self.estimate("pairwise", calls, prompt_tokens, completion_tokens)
 
     def pairwise_against(self, items: Sequence[str], reference_count: int) -> CostEstimate:
         """One comparison of each item against ``reference_count`` fixed references."""
@@ -364,7 +332,7 @@ class CostPlanner:
         calls = len(items) * reference_count
         prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + 2 * average)
         completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pairwise_against", calls, prompt_tokens, completion_tokens)
+        return self.estimate("pairwise_against", calls, prompt_tokens, completion_tokens)
 
     def pair_judgments(
         self, pairs: Sequence[tuple[str, str]], *, expansion: int = 1
@@ -384,114 +352,77 @@ class CostPlanner:
         calls = len(pairs) * expansion
         prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + average)
         completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pair_judgments", calls, prompt_tokens, completion_tokens)
+        return self.estimate("pair_judgments", calls, prompt_tokens, completion_tokens)
 
-    # -- vector-index shapes ----------------------------------------------------------
-
-    #: Candidates an index probe ranks when no rate has been observed yet —
-    #: the LSH probe floor at its default k.
-    _DEFAULT_PROBE_CANDIDATES = 16.0
-
-    def index_build(self, texts: Sequence[str]) -> CostEstimate:
-        """Price building a vector index over ``texts``.
-
-        One *local* embedding call per text and zero LLM dollars: the
-        hashing embedder never leaves the process, so an index build spends
-        compute, not budget.  The calls/tokens still appear in the estimate
-        so ``.quote()`` can show the work the build replaces LLM spend with.
-        """
-        tokens = sum(self.tokenizer.count(str(text)) for text in texts)
-        usage = Usage(prompt_tokens=tokens, calls=len(texts))
-        return CostEstimate(
-            strategy="index:build", calls=len(texts), usage=usage, dollars=0.0
+    def combine(self, strategy: str, *parts: CostEstimate) -> CostEstimate:
+        """One estimate for a strategy that runs several call shapes in turn."""
+        return self.estimate(
+            strategy,
+            calls=sum(part.calls for part in parts),
+            prompt_tokens=sum(part.usage.prompt_tokens for part in parts),
+            completion_tokens=sum(part.usage.completion_tokens for part in parts),
         )
 
-    def index_probe(self, queries: Sequence[str]) -> CostEstimate:
-        """Price probing a built index once per query (zero LLM dollars).
-
-        Each probe embeds its query locally and distance-ranks a candidate
-        set (see :meth:`probe_candidate_rate` for the expected candidate
-        count); no tokens are generated, so like :meth:`index_build` the
-        estimate carries embed calls and zero dollars.
-        """
-        tokens = sum(self.tokenizer.count(str(query)) for query in queries)
-        usage = Usage(prompt_tokens=tokens, calls=len(queries))
-        return CostEstimate(
-            strategy="index:probe", calls=len(queries), usage=usage, dollars=0.0
+    def scaled(self, estimate: CostEstimate, ratio: float, *, floor: int = 1) -> CostEstimate:
+        """``estimate`` with calls and tokens scaled by ``ratio`` (calls >= ``floor``)."""
+        return self.estimate(
+            estimate.strategy,
+            calls=max(floor, int(round(estimate.calls * ratio))),
+            prompt_tokens=estimate.usage.prompt_tokens * ratio,
+            completion_tokens=estimate.usage.completion_tokens * ratio,
         )
-
-    def probe_candidate_rate(self) -> float:
-        """Expected candidates ranked per probe (observed, or the prior)."""
-        if self.stats is not None:
-            observed = self.stats.probe_candidate_rate()
-            if observed is not None:
-                return observed
-        return self._DEFAULT_PROBE_CANDIDATES
 
     # -- declarative specs ------------------------------------------------------------
 
     def estimate_spec(self, spec: TaskSpec) -> CostEstimate:
         """Pre-flight estimate for one declarative task spec.
 
-        Maps the spec's strategy onto the standard cost shapes above; the
-        ``strategy`` field of the returned estimate is labelled
-        ``"<operation>:<strategy>"`` so per-step quotes read naturally.
-        ``"auto"`` strategies are priced at the engine's no-validation
-        default for that operator.
+        The spec's operator kind (:mod:`repro.core.kinds`) maps its strategy
+        onto the standard cost shapes above; the ``strategy`` field of the
+        returned estimate is labelled ``"<operation>:<strategy>"`` so
+        per-step quotes read naturally.  ``"auto"`` strategies are priced at
+        the kind's default candidate — the strategy an unconstrained
+        ``"auto"`` resolves to.
 
         With a :class:`~repro.core.physical.RuntimeStats` store attached,
         the structural estimate is corrected by the observed
         actual/estimated call ratio recorded for the same strategy label —
-        except for filters, whose error is explained by predicate
-        selectivity and already priced from the observed selectivities.
+        except where the kind says observations already priced it (filters
+        are priced from their observed selectivities).
         """
-        if isinstance(spec, SortSpec):
-            estimate = self._estimate_sort(spec)
-        elif isinstance(spec, ResolveSpec):
-            estimate = self._estimate_resolve(spec)
-        elif isinstance(spec, ImputeSpec):
-            estimate = self._estimate_impute(spec)
-        elif isinstance(spec, FilterSpec):
-            estimate = self._estimate_filter(spec)
-        elif isinstance(spec, CategorizeSpec):
-            estimate = self._estimate_categorize(spec)
-        elif isinstance(spec, TopKSpec):
-            estimate = self._estimate_top_k(spec)
-        elif isinstance(spec, JoinSpec):
-            estimate = self._estimate_join(spec)
-        elif isinstance(spec, ClusterSpec):
-            estimate = self._estimate_cluster(spec)
-        else:
-            raise SpecError(
-                f"cannot estimate cost for spec type {type(spec).__name__}"
-            )
-        if not isinstance(spec, FilterSpec) and not self._blocked_rate_priced(spec):
-            estimate = self._apply_call_ratio(estimate)
-        estimate = self._apply_latency(estimate)
+        return self._estimate_spec(spec)[0]
+
+    def _estimate_spec(self, spec: TaskSpec) -> tuple[CostEstimate, int, int]:
+        """:meth:`estimate_spec` plus its persistent-cache probe ``(hits, probed)``."""
+        kind = kind_of(spec)
+        estimate = kind.estimate(self, spec)
+        key = self.stats_key(spec, estimate.strategy)
+        if kind.call_ratio_applies(self, spec):
+            estimate = self._apply_call_ratio(estimate, key)
+        estimate = self._apply_latency(estimate, key)
         # Exact knowledge beats extrapolation: when the spec's prompts are
         # statically known and some are already in the durable cache, price
         # those at zero and skip the observed-hit-rate discount for this
-        # spec (the rate would re-count the same hits).
-        estimate, known = self._apply_known_hits(spec, estimate)
-        if known:
-            return estimate
-        return self._apply_cache_discount(estimate)
+        # spec (the rate would re-count the same hits).  Unlike that
+        # discount (capped below 1) these are certainties, so a fully
+        # cached workload quotes exactly zero dollars.
+        hits, probed = self.known_cached_calls(spec)
+        if hits > 0 and estimate.dollars > 0.0 and estimate.calls > 0:
+            fraction = min(1.0, hits / estimate.calls)
+            return replace(estimate, dollars=estimate.dollars * (1.0 - fraction)), hits, probed
+        return self._apply_cache_discount(estimate), hits, probed
 
-    def _blocked_rate_priced(self, spec: TaskSpec) -> bool:
-        """Whether the estimate was already corrected by the blocked-pair rate.
+    def stats_key(self, spec: TaskSpec, label: str) -> str:
+        """The stats key an estimate label of ``spec`` resolves to.
 
-        A blocked resolve priced from the observed mutual-neighbor rate must
-        not *also* be scaled by its recorded call ratio — the ratio was
-        measured against the uncorrected k·n structural estimate, so it
-        encodes the same blocking shrinkage and would double-correct.
+        Observations are recorded under the strategy that *executed* (never
+        ``"auto"``), so an auto-labelled estimate looks its stats up under
+        the kind's default strategy it was priced at.
         """
-        return (
-            isinstance(spec, ResolveSpec)
-            and not spec.pairs
-            and spec.strategy == "blocked_pairwise"
-            and self.stats is not None
-            and self.stats.blocked_pair_rate() is not None
-        )
+        operation, _, strategy = label.partition(":")
+        if strategy == "auto":
+            return f"{operation}:{kind_of(spec).default_strategy(spec)}"
+        return label
 
     def observed_blocked_pair_rate(self) -> float | None:
         """The observed candidate-pair fraction of the k·n bound, if any."""
@@ -503,12 +434,10 @@ class CostPlanner:
     #: workload-specific flukes rather than transferable corrections.
     _CALL_RATIO_BAND = (0.05, 20.0)
 
-    def _apply_call_ratio(self, estimate: CostEstimate) -> CostEstimate:
+    def _apply_call_ratio(self, estimate: CostEstimate, key: str) -> CostEstimate:
         """Scale a structural estimate by the observed call ratio, if any.
 
-        Ratios are recorded under the strategy that *executed* (never
-        ``"auto"``), so an auto-labelled estimate looks its ratio up under
-        the default strategy it was priced at.  The ratio is clamped to a
+        ``key`` is the estimate's :meth:`stats_key`.  The ratio is clamped to a
         sane band and a non-empty structural estimate never drops below
         one call: ratios were measured on whatever workload the session
         happened to run, and an estimate rounded to zero would starve the
@@ -516,37 +445,14 @@ class CostPlanner:
         """
         if self.stats is None:
             return estimate
-        key = estimate.strategy
-        operation, _, strategy = key.partition(":")
-        if strategy == "auto":
-            key = f"{operation}:{AUTO_DEFAULT_STRATEGY.get(operation, strategy)}"
         ratio = self.stats.call_ratio(key)
         if ratio is None or ratio <= 0 or abs(ratio - 1.0) < 1e-9:
             return estimate
         low, high = self._CALL_RATIO_BAND
         ratio = min(high, max(low, ratio))
-        floor = 1 if estimate.calls > 0 else 0
-        adjusted = self._estimate(
-            estimate.strategy,
-            calls=max(floor, int(round(estimate.calls * ratio))),
-            prompt_tokens=estimate.usage.prompt_tokens * ratio,
-            completion_tokens=estimate.usage.completion_tokens * ratio,
-        )
-        return adjusted
+        return self.scaled(estimate, ratio, floor=1 if estimate.calls > 0 else 0)
 
-    def _stats_label(self, estimate_strategy: str) -> str:
-        """The stats key an estimate's strategy label resolves to.
-
-        Observations are recorded under the strategy that *executed* (never
-        ``"auto"``), so an auto-labelled estimate looks its stats up under
-        the default strategy it was priced at.
-        """
-        operation, _, strategy = estimate_strategy.partition(":")
-        if strategy == "auto":
-            return f"{operation}:{AUTO_DEFAULT_STRATEGY.get(operation, strategy)}"
-        return estimate_strategy
-
-    def _apply_latency(self, estimate: CostEstimate) -> CostEstimate:
+    def _apply_latency(self, estimate: CostEstimate, key: str) -> CostEstimate:
         """Attach a wall-clock prediction from the observed median latency.
 
         Sequential extrapolation (calls × per-call p50): the planner cannot
@@ -557,7 +463,7 @@ class CostPlanner:
         """
         if self.stats is None:
             return estimate
-        p50 = self.stats.latency_p50(self._stats_label(estimate.strategy))
+        p50 = self.stats.latency_p50(key)
         if p50 is None:
             return estimate
         return replace(estimate, seconds=estimate.calls * p50 / 1000.0)
@@ -587,104 +493,30 @@ class CostPlanner:
     #: hash every pair before anything runs.
     _CACHE_PROBE_CAP = 2048
 
-    def _static_prompts(self, spec: TaskSpec) -> list[str]:
-        """The exact prompts a spec would send, when they are statically known.
-
-        Only strategies whose prompt set is a pure function of the spec are
-        reconstructed (per-item filters/categorize, pairwise sorts and
-        resolves, all-pairs joins, example-free ``llm_only`` imputes);
-        blocked or validation-dependent strategies return nothing rather
-        than a guess.  Capped at :data:`_CACHE_PROBE_CAP` prompts.
-        """
-        cap = self._CACHE_PROBE_CAP
-        prompts: list[str] = []
-
-        def extend(candidates) -> None:
-            for prompt in candidates:
-                if len(prompts) >= cap:
-                    return
-                prompts.append(prompt)
-
-        if isinstance(spec, FilterSpec) and spec.strategy in ("per_item", "auto"):
-            extend(
-                predicate_check_prompt(str(item), predicate)
-                for predicate in spec.all_predicates
-                for item in spec.items
-            )
-        elif isinstance(spec, CategorizeSpec) and spec.strategy in ("per_item", "auto"):
-            categories = list(spec.categories)
-            extend(categorize_prompt(str(item), categories) for item in spec.items)
-        elif isinstance(spec, SortSpec) and spec.strategy in ("pairwise", "auto"):
-            items = [str(item) for item in spec.items]
-            extend(
-                pairwise_comparison_prompt(first, second, spec.criterion)
-                for first, second in itertools.combinations(items, 2)
-            )
-        elif isinstance(spec, ResolveSpec):
-            if spec.pairs and spec.strategy == "pairwise":
-                extend(
-                    duplicate_check_prompt(str(left), str(right))
-                    for left, right in spec.pairs
-                )
-            elif not spec.pairs and spec.strategy in ("pairwise", "auto"):
-                records = [str(record) for record in spec.records]
-                extend(
-                    duplicate_check_prompt(left, right)
-                    for left, right in itertools.combinations(records, 2)
-                )
-        elif isinstance(spec, JoinSpec) and spec.strategy == "all_pairs":
-            extend(
-                duplicate_check_prompt(str(left), str(right))
-                for left in spec.left
-                for right in spec.right
-            )
-        elif (
-            isinstance(spec, ImputeSpec)
-            and spec.strategy == "llm_only"
-            and spec.n_examples == 0
-            and spec.data is not None
-        ):
-            extend(
-                impute_prompt(spec.data.serialized_query(record), spec.data.target_attribute)
-                for record in spec.data.queries
-            )
-        return prompts
-
     def known_cached_calls(self, spec: TaskSpec) -> tuple[int, int]:
         """``(known_hits, probed)`` statically-known prompts of a spec.
 
-        Probes the planner's response cache without counting the probes as
-        cache traffic (see ``PersistentResponseCache.contains`` — quoting a
-        workload is not serving it).  ``(0, 0)`` without a probing cache or
-        when the spec's prompt set cannot be known before running.
+        The spec's kind reconstructs the exact prompts only where they are a
+        pure function of the spec (per-item filters/categorize, pairwise
+        sorts and resolves, all-pairs joins, example-free ``llm_only``
+        imputes); blocked or validation-dependent strategies yield nothing
+        rather than a guess.  At most :data:`_CACHE_PROBE_CAP` are probed,
+        against the planner's response cache, without counting the probes
+        as cache traffic (see ``PersistentResponseCache.contains`` —
+        quoting a workload is not serving it).  ``(0, 0)`` without a probing
+        cache or when the spec's prompt set cannot be known before running.
         """
         if self.response_cache is None:
             return (0, 0)
-        prompts = self._static_prompts(spec)
+        prompts = list(
+            itertools.islice(kind_of(spec).static_prompts(spec), self._CACHE_PROBE_CAP)
+        )
         if not prompts:
             return (0, 0)
         model = self.spec.name
         contains = self.response_cache.contains  # type: ignore[attr-defined]
         hits = sum(1 for prompt in prompts if contains(model, prompt))
         return (hits, len(prompts))
-
-    def _apply_known_hits(
-        self, spec: TaskSpec, estimate: CostEstimate
-    ) -> tuple[CostEstimate, bool]:
-        """Price the statically-known, already-cached fraction at zero.
-
-        Unlike the observed-rate discount (an extrapolation capped below
-        1), these are certainties — the exact prompts were probed against
-        the durable cache — so a fully-cached workload quotes exactly zero
-        dollars.  Returns the estimate plus whether a discount applied.
-        """
-        if estimate.dollars <= 0.0 or estimate.calls <= 0:
-            return estimate, False
-        hits, _ = self.known_cached_calls(spec)
-        if hits <= 0:
-            return estimate, False
-        fraction = min(1.0, hits / max(estimate.calls, 1))
-        return replace(estimate, dollars=estimate.dollars * (1.0 - fraction)), True
 
     def cache_discount_note(self) -> str | None:
         """The "prior -> observed" annotation for an applied cache discount."""
@@ -698,7 +530,7 @@ class CostPlanner:
             "(dollar estimates discounted)"
         )
 
-    def _observed_selectivity(self, predicate: str, prior: float) -> float:
+    def observed_selectivity(self, predicate: str, prior: float) -> float:
         """A predicate's observed surviving fraction, or its static prior."""
         if self.stats is not None:
             observed = self.stats.filter_selectivity(predicate)
@@ -707,233 +539,6 @@ class CostPlanner:
                 # nothing; clamp to one surviving item's worth.
                 return max(observed, 1e-6)
         return prior
-
-    def _estimate_sort(self, spec: SortSpec) -> CostEstimate:
-        items = list(spec.items)
-        strategy = spec.strategy
-        if strategy == "single_prompt":
-            estimate = self.single_prompt(items)
-        elif strategy == "rating":
-            estimate = self.per_item(
-                items, batch_size=int(spec.strategy_options.get("batch_size", 1))
-            )
-        elif strategy == "hybrid_sort_insert":
-            # One whole-list prompt, then a binary-search insertion (about
-            # log2(n) comparisons) for each item the first pass dropped; we
-            # conservatively price every item's insertion.
-            whole = self.single_prompt(items)
-            inserts = self.pairwise_against(items, max(1, math.ceil(math.log2(len(items)))))
-            estimate = self._estimate(
-                "hybrid_sort_insert",
-                calls=whole.calls + inserts.calls,
-                prompt_tokens=whole.usage.prompt_tokens + inserts.usage.prompt_tokens,
-                completion_tokens=whole.usage.completion_tokens
-                + inserts.usage.completion_tokens,
-            )
-        else:
-            # "pairwise", "pairwise_consistent", and "auto" (the engine's
-            # no-validation default is pairwise) all execute one comparison
-            # per unordered pair.
-            estimate = self.pairwise(items)
-        return replace(estimate, strategy=f"sort:{strategy}")
-
-    def _estimate_resolve(self, spec: ResolveSpec) -> CostEstimate:
-        strategy = spec.strategy
-        if spec.pairs:
-            if strategy in ("transitive", "auto"):
-                # The engine's no-validation default is the transitive
-                # strategy with the spec's neighbors_k; label the estimate
-                # accordingly so the two "auto" resolve modes (pair
-                # judgments here, whole-corpus dedup below) never share a
-                # call-ratio key — their cost shapes are unrelated.
-                expansion = math.comb(2 * spec.neighbors_k + 2, 2)
-                strategy = "transitive"
-            else:
-                expansion = 1
-            estimate = self.pair_judgments(list(spec.pairs), expansion=expansion)
-        else:
-            records = list(spec.records)
-            if strategy == "single_prompt":
-                estimate = self.single_prompt(records)
-            elif strategy == "blocked_pairwise":
-                block_k = int(spec.strategy_options.get("block_k", 5))
-                estimate = self.pairwise_against(records, block_k)
-                # The k·n pair count is an upper bound: the mutual-neighbor
-                # blocker deduplicates symmetric and overlapping neighbor
-                # pairs, and the observed candidate fraction says by how
-                # much.  Price from the observation when one exists.
-                rate = self.observed_blocked_pair_rate()
-                if rate is not None and estimate.calls > 0:
-                    rate = min(1.0, max(rate, 1.0 / max(1, estimate.calls)))
-                    estimate = self._estimate(
-                        estimate.strategy,
-                        calls=max(1, int(round(estimate.calls * rate))),
-                        prompt_tokens=estimate.usage.prompt_tokens * rate,
-                        completion_tokens=estimate.usage.completion_tokens * rate,
-                    )
-            else:
-                # "pairwise" and "auto" (the engine's records-path default).
-                if strategy == "auto":
-                    strategy = "pairwise"
-                estimate = self.pairwise(records)
-        return replace(estimate, strategy=f"resolve:{strategy}")
-
-    #: Prior escalation fraction of the retrieval impute strategy: the share
-    #: of queries whose index-retrieved neighbors disagree and go to the LLM
-    #: (Table 4's hybrid runs escalate roughly half; the recorded call ratio
-    #: replaces this prior once a run has been observed).
-    _RETRIEVAL_ESCALATION_PRIOR = 0.5
-    #: Neighbor evidence records each retrieval-escalated prompt carries
-    #: (the operator's default ``k``).
-    _RETRIEVAL_EVIDENCE_NEIGHBORS = 3
-
-    def _estimate_impute(self, spec: ImputeSpec) -> CostEstimate:
-        assert spec.data is not None  # spec.validate() guarantees this
-        strategy = spec.strategy
-        if strategy == "knn":
-            # Pure proxy imputation: no LLM calls at all.
-            estimate = self._estimate("knn", calls=0, prompt_tokens=0, completion_tokens=0)
-        elif strategy == "retrieval":
-            # Index-grounded hybrid: only the disagreeing fraction escalates,
-            # and each escalated prompt carries the retrieved neighbors as
-            # in-context evidence (k extra records' worth of prompt tokens).
-            # The index build/probe itself is local embed work at zero
-            # dollars (see index_build/index_probe) and adds no LLM calls.
-            queries = [spec.data.serialized_query(record) for record in spec.data.queries]
-            base = self.per_item(queries)
-            calls = max(1, int(round(base.calls * self._RETRIEVAL_ESCALATION_PRIOR)))
-            fraction = calls / max(1, base.calls)
-            evidence = 1 + self._RETRIEVAL_EVIDENCE_NEIGHBORS
-            estimate = self._estimate(
-                "retrieval",
-                calls=calls,
-                prompt_tokens=base.usage.prompt_tokens * fraction * evidence,
-                completion_tokens=base.usage.completion_tokens * fraction,
-            )
-        else:
-            queries = [spec.data.serialized_query(record) for record in spec.data.queries]
-            estimate = self.per_item(queries)
-        return replace(estimate, strategy=f"impute:{strategy}")
-
-    def _estimate_filter(self, spec: FilterSpec) -> CostEstimate:
-        items = list(spec.items)
-        strategy = spec.strategy
-        if strategy == "ensemble_vote":
-            multiplier = max(2, len(spec.strategy_options.get("models", ())))
-        elif strategy == "adaptive":
-            # Upper bound: every item stays contentious until the vote limit.
-            voters = max(2, len(spec.strategy_options.get("models", ())))
-            multiplier = int(spec.strategy_options.get("max_votes_per_item") or voters)
-        else:
-            # "per_item" and "auto" (the engine's default) — one check per item.
-            multiplier = 1
-        # Each predicate only re-checks the expected survivors of the ones
-        # before it (the engine runs them over a shrinking set), so a fused
-        # multi-predicate spec quotes exactly like sequential filter steps.
-        selectivities = list(spec.expected_selectivities)
-        predicates = list(spec.all_predicates)
-        calls = 0
-        prompt_tokens = 0.0
-        completion_tokens = 0.0
-        survivors = items
-        for index in range(len(predicates)):
-            per_predicate = self.per_item(survivors)
-            calls += per_predicate.calls * multiplier
-            prompt_tokens += per_predicate.usage.prompt_tokens * multiplier
-            completion_tokens += per_predicate.usage.completion_tokens * multiplier
-            prior = selectivities[index] if index < len(selectivities) else 0.5
-            selectivity = self._observed_selectivity(predicates[index], prior)
-            kept = min(len(survivors), max(1, math.ceil(len(survivors) * selectivity)))
-            survivors = survivors[:kept]
-        estimate = self._estimate(strategy, calls, prompt_tokens, completion_tokens)
-        return replace(estimate, strategy=f"filter:{strategy}")
-
-    def _estimate_categorize(self, spec: CategorizeSpec) -> CostEstimate:
-        items = list(spec.items)
-        strategy = spec.strategy
-        # Every call carries the category menu in the prompt.
-        menu_tokens = sum(self.tokenizer.count(str(label)) for label in spec.categories)
-        if strategy == "self_consistency":
-            multiplier = int(spec.strategy_options.get("n_samples", 3))
-        elif strategy == "ensemble_vote":
-            multiplier = max(2, len(spec.strategy_options.get("models", ())))
-        else:  # "per_item" and "auto"
-            multiplier = 1
-        base = self.per_item(items)
-        estimate = self._estimate(
-            strategy,
-            calls=base.calls * multiplier,
-            prompt_tokens=(base.usage.prompt_tokens + len(items) * menu_tokens) * multiplier,
-            completion_tokens=base.usage.completion_tokens * multiplier,
-        )
-        return replace(estimate, strategy=f"categorize:{strategy}")
-
-    def _estimate_top_k(self, spec: TopKSpec) -> CostEstimate:
-        items = list(spec.items)
-        strategy = spec.strategy
-        if strategy == "rating_only":
-            estimate = self.per_item(items)
-        elif strategy == "pairwise_tournament":
-            estimate = self.pairwise(items)
-        else:
-            # "hybrid_rating_comparison" and "auto" (the operator default):
-            # rate everything, then a tournament among the shortlist.
-            factor = int(spec.strategy_options.get("shortlist_factor", 3))
-            shortlist = items[: min(len(items), max(spec.k, spec.k * factor))]
-            ratings = self.per_item(items)
-            tournament = (
-                self.pairwise(shortlist)
-                if len(shortlist) >= 2
-                else self._estimate("pairwise", 0, 0, 0)
-            )
-            estimate = self._estimate(
-                strategy,
-                calls=ratings.calls + tournament.calls,
-                prompt_tokens=ratings.usage.prompt_tokens + tournament.usage.prompt_tokens,
-                completion_tokens=ratings.usage.completion_tokens
-                + tournament.usage.completion_tokens,
-            )
-        return replace(estimate, strategy=f"top_k:{strategy}")
-
-    def _estimate_join(self, spec: JoinSpec) -> CostEstimate:
-        left = list(spec.left)
-        strategy = spec.strategy
-        if strategy == "all_pairs":
-            estimate = self.pairwise_against(left, len(spec.right))
-        else:
-            # "blocked", "proxy_blocked", and "auto" (the operator default is
-            # blocked) ask about ~block_k candidates per left record;
-            # proxy_blocked answers part of those for free, so pricing it
-            # like blocked is a conservative upper bound.
-            block_k = int(spec.strategy_options.get("block_k", 3))
-            estimate = self.pairwise_against(left, min(block_k, len(spec.right)))
-        return replace(estimate, strategy=f"join:{strategy}")
-
-    def _estimate_cluster(self, spec: ClusterSpec) -> CostEstimate:
-        items = list(spec.items)
-        strategy = spec.strategy
-        if strategy == "single_prompt":
-            estimate = self.single_prompt(items)
-        else:
-            # "two_phase" and "auto" (the operator default): one grouping
-            # prompt over the seed, then each remaining item is compared
-            # against the discovered representatives.  The representative
-            # count is unknown a priori; half the seed is the heuristic.
-            seed_size = min(int(spec.strategy_options.get("seed_size", 12)), len(items))
-            remaining = items[seed_size:]
-            seed_prompt = self.single_prompt(items[:seed_size])
-            if remaining:
-                assignments = self.pairwise_against(remaining, max(1, seed_size // 2))
-            else:
-                assignments = self._estimate("pairwise_against", 0, 0, 0)
-            estimate = self._estimate(
-                strategy,
-                calls=seed_prompt.calls + assignments.calls,
-                prompt_tokens=seed_prompt.usage.prompt_tokens + assignments.usage.prompt_tokens,
-                completion_tokens=seed_prompt.usage.completion_tokens
-                + assignments.usage.completion_tokens,
-            )
-        return replace(estimate, strategy=f"cluster:{strategy}")
 
     def quote_pipeline(self, pipeline: PipelineSpec) -> PipelineQuote:
         """Quote a whole pipeline before running it.
@@ -957,8 +562,7 @@ class CostPlanner:
         for step in pipeline.steps:
             dependencies[step.name] = tuple(step.depends_on)
             if isinstance(step.task, TaskSpec):
-                steps[step.name] = self.estimate_spec(step.task)
-                hits, probed = self.known_cached_calls(step.task)
+                steps[step.name], hits, probed = self._estimate_spec(step.task)
                 known_hits += hits
                 known_probed += probed
             else:

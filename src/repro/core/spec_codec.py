@@ -2,11 +2,13 @@
 
 The HTTP service layer (:mod:`repro.service`) accepts whole pipelines as
 JSON bodies and persists submitted specs in the store's job table, so every
-spec the engine can execute needs a faithful wire form.  The codec here is
-deliberately explicit — one arm per spec type, mirroring the checkpoint
-codecs of :mod:`repro.store.checkpoint` — rather than pickling or reflecting
-over arbitrary objects: a JSON payload received over the network must never
-be able to smuggle a callable or an unserialisable value into the engine.
+spec the engine can execute needs a faithful wire form.  One encoder walks
+the dataclass fields of any spec registered in the operator table
+(:data:`repro.core.kinds.KINDS`), converting each value by its declared
+field type through an explicit value codec (pairs, labelled samples,
+imputation datasets, ...) rather than pickling arbitrary objects: a JSON
+payload received over the network must never be able to smuggle a callable
+or an unserialisable value into the engine.
 
 Two spec features therefore do **not** round-trip, by design:
 
@@ -27,41 +29,16 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING
 from dataclasses import fields as dataclass_fields
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    PipelineStep,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
+from repro.core.kinds import KINDS
+from repro.core.spec import PipelineSpec, PipelineStep, TaskSpec
 from repro.data.products import ImputationDataset
 from repro.data.record import Dataset, Record
 from repro.exceptions import SpecError
 
 #: Bump when the wire layout changes; newer payloads are refused on decode.
 SPEC_CODEC_VERSION = 1
-
-_SPEC_TYPES: dict[str, type[TaskSpec]] = {
-    cls.__name__: cls
-    for cls in (
-        SortSpec,
-        ResolveSpec,
-        ImputeSpec,
-        FilterSpec,
-        CategorizeSpec,
-        TopKSpec,
-        JoinSpec,
-        ClusterSpec,
-    )
-}
 
 
 def _json_safe(value: Any, *, context: str) -> Any:
@@ -126,87 +103,86 @@ def _decode_imputation(data: Mapping[str, Any]) -> ImputationDataset:
     )
 
 
-def _encode_pairs(pairs: Any) -> list[list[str]]:
-    return [[str(left), str(right)] for left, right in pairs]
+def _json_options(value: Any, context: str) -> dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise SpecError(f"{context} must be an object")
+    return _json_safe(dict(value), context=context)
 
 
-def _decode_pairs(data: Any) -> list[tuple[str, str]]:
-    return [(str(pair[0]), str(pair[1])) for pair in data]
+def _sequence(value: Any, context: str) -> list[Any]:
+    return list(value)
+
+
+def _same(value: Any, context: str) -> Any:
+    return value
+
+
+#: An (encode, decode) pair of ``(value, "<Spec>.<field>") -> value`` maps.
+_Codec = tuple[Callable[[Any, str], Any], Callable[[Any, str], Any]]
+
+#: Value codecs by declared spec field type; ``Sequence[...]`` fields not
+#: listed travel as JSON lists, every other field as its plain JSON value.
+_FIELD_CODECS: dict[str, _Codec] = {
+    "dict[str, Any]": (_json_options, _json_options),
+    "Sequence[tuple[str, str]]": (
+        lambda pairs, _: [[str(left), str(right)] for left, right in pairs],
+        lambda data, _: [(str(pair[0]), str(pair[1])) for pair in data],
+    ),
+    "Mapping[tuple[str, str], bool]": (
+        lambda labels, _: [
+            [[left, right], bool(label)] for (left, right), label in labels.items()
+        ],
+        lambda data, _: {(str(pair[0]), str(pair[1])): bool(label) for pair, label in data},
+    ),
+    "Mapping[str, bool]": (
+        lambda labels, _: {str(item): bool(label) for item, label in labels.items()},
+        lambda data, _: {str(item): bool(label) for item, label in dict(data).items()},
+    ),
+    "Mapping[str, str]": (
+        lambda labels, _: {str(item): str(label) for item, label in labels.items()},
+        lambda data, _: {str(item): str(label) for item, label in dict(data).items()},
+    ),
+    "ImputationDataset | None": (
+        lambda data, _: None if data is None else _encode_imputation(data),
+        lambda data, _: None if data is None else _decode_imputation(data),
+    ),
+}
+
+
+def _field_codec(annotation: Any) -> _Codec:
+    codec = _FIELD_CODECS.get(str(annotation))
+    if codec is not None:
+        return codec
+    if str(annotation).startswith("Sequence["):
+        return (_sequence, _same)
+    return (_same, _same)
+
+
+def _spec_type(type_name: Any) -> type | None:
+    return next((cls for cls in KINDS if cls.__name__ == type_name), None)
 
 
 def spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
     """Encode a concrete task spec as a JSON-shaped dict.
 
-    Raises :class:`SpecError` for spec types without a codec or for specs
-    carrying non-JSON ``strategy_options`` values.
+    Raises :class:`SpecError` for spec types without an operator kind or
+    for specs carrying non-JSON ``strategy_options`` values.
     """
     type_name = type(spec).__name__
-    if type_name not in _SPEC_TYPES:
+    if type(spec) not in KINDS:
         raise SpecError(f"no JSON codec for spec type {type_name}")
-    spec_fields: dict[str, Any] = {
-        "budget_dollars": spec.budget_dollars,
-        "accuracy_target": spec.accuracy_target,
-        "strategy": spec.strategy,
-        "strategy_options": _json_safe(
-            dict(spec.strategy_options), context=f"{type_name}.strategy_options"
-        ),
-    }
-    if isinstance(spec, SortSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            criterion=spec.criterion,
-            validation_order=list(spec.validation_order),
-        )
-    elif isinstance(spec, ResolveSpec):
-        spec_fields.update(
-            records=list(spec.records),
-            pairs=_encode_pairs(spec.pairs),
-            validation_labels=[
-                [[left, right], bool(label)]
-                for (left, right), label in spec.validation_labels.items()
-            ],
-            neighbors_k=spec.neighbors_k,
-        )
-    elif isinstance(spec, ImputeSpec):
-        spec_fields.update(
-            data=None if spec.data is None else _encode_imputation(spec.data),
-            n_examples=spec.n_examples,
-            validation_size=spec.validation_size,
-        )
-    elif isinstance(spec, FilterSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            predicate=spec.predicate,
-            predicates=list(spec.predicates),
-            expected_selectivities=list(spec.expected_selectivities),
-            validation_labels={
-                str(item): bool(label) for item, label in spec.validation_labels.items()
-            },
-        )
-    elif isinstance(spec, CategorizeSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            categories=list(spec.categories),
-            validation_labels={
-                str(item): str(label) for item, label in spec.validation_labels.items()
-            },
-        )
-    elif isinstance(spec, TopKSpec):
-        spec_fields.update(items=list(spec.items), criterion=spec.criterion, k=spec.k)
-    elif isinstance(spec, JoinSpec):
-        spec_fields.update(left=list(spec.left), right=list(spec.right))
-    elif isinstance(spec, ClusterSpec):
-        spec_fields.update(items=list(spec.items))
     # Omit fields still at their dataclass default: the wire form stays
     # compact, and — decisively — decoding restores the *default object*
     # (e.g. the empty tuple) rather than a listified copy of it, so a
     # round-tripped spec compares equal to the original.
     defaults = _field_defaults(type(spec))
-    spec_fields = {
-        name: value
-        for name, value in spec_fields.items()
-        if name not in defaults or getattr(spec, name) != defaults[name]
-    }
+    spec_fields: dict[str, Any] = {}
+    for spec_field in dataclass_fields(spec):
+        value = getattr(spec, spec_field.name)
+        if spec_field.name in defaults and value == defaults[spec_field.name]:
+            continue
+        encode, _ = _field_codec(spec_field.type)
+        spec_fields[spec_field.name] = encode(value, f"{type_name}.{spec_field.name}")
     return {"type": type_name, "version": SPEC_CODEC_VERSION, "fields": spec_fields}
 
 
@@ -230,7 +206,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> TaskSpec:
     if not isinstance(data, Mapping):
         raise SpecError(f"a spec payload must be an object, got {type(data).__name__}")
     type_name = data.get("type")
-    if type_name not in _SPEC_TYPES:
+    cls = _spec_type(type_name)
+    if cls is None:
         raise SpecError(f"unknown spec type {type_name!r}")
     version = int(data.get("version", 0))
     if version > SPEC_CODEC_VERSION:
@@ -238,36 +215,16 @@ def spec_from_dict(data: Mapping[str, Any]) -> TaskSpec:
             f"spec payload version {version} is newer than this library's "
             f"{SPEC_CODEC_VERSION}"
         )
-    cls = _SPEC_TYPES[type_name]
     spec_fields = dict(data.get("fields", {}))
-    known = {f.name for f in dataclass_fields(cls)}
-    unknown = set(spec_fields) - known
+    annotations = {f.name: f.type for f in dataclass_fields(cls)}
+    unknown = set(spec_fields) - set(annotations)
     if unknown:
         raise SpecError(
             f"{type_name} payload carries unknown fields: {sorted(unknown)}"
         )
-    if "strategy_options" in spec_fields:
-        options = spec_fields["strategy_options"]
-        if not isinstance(options, Mapping):
-            raise SpecError(f"{type_name}.strategy_options must be an object")
-        spec_fields["strategy_options"] = _json_safe(
-            dict(options), context=f"{type_name}.strategy_options"
-        )
-    if cls is ResolveSpec:
-        if "pairs" in spec_fields:
-            spec_fields["pairs"] = _decode_pairs(spec_fields["pairs"])
-        if "validation_labels" in spec_fields:
-            spec_fields["validation_labels"] = {
-                (str(pair[0]), str(pair[1])): bool(label)
-                for pair, label in spec_fields["validation_labels"]
-            }
-    elif cls is ImputeSpec and spec_fields.get("data") is not None:
-        spec_fields["data"] = _decode_imputation(spec_fields["data"])
-    elif cls is FilterSpec and "validation_labels" in spec_fields:
-        spec_fields["validation_labels"] = {
-            str(item): bool(label)
-            for item, label in dict(spec_fields["validation_labels"]).items()
-        }
+    for name, value in spec_fields.items():
+        _, decode = _field_codec(annotations[name])
+        spec_fields[name] = decode(value, f"{type_name}.{name}")
     try:
         return cls(**spec_fields)
     except TypeError as exc:

@@ -318,7 +318,10 @@ class SpanTracker:
         try:
             self.store.save_spans(pending, origin=self.origin)
         except Exception:
-            # A failing store must not take the pipeline down with it.
+            # A failing store must not take the pipeline down with it; the
+            # spans stay dirty so the next flush writes them.
+            with self._lock:
+                self._dirty.update(sp.span_id for sp in pending if sp.span_id in self._spans)
             return 0
         return len(pending)
 

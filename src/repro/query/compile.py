@@ -29,12 +29,8 @@ from dataclasses import dataclass, replace as dataclass_replace
 from typing import Any, Callable, Mapping
 
 from repro.consistency.transitivity import MatchGraph
-from repro.core.planner import (
-    AUTO_DEFAULT_STRATEGY,
-    CostEstimate,
-    CostPlanner,
-    PipelineQuote,
-)
+from repro.core.kinds import kind_named
+from repro.core.planner import CostEstimate, CostPlanner, PipelineQuote
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -582,12 +578,14 @@ def _stats_annotation(node: LogicalNode, planner: CostPlanner | None) -> str:
             else:
                 parts.append(f"join selectivity observed {observed:.2f}")
     strategy = node.params.get("strategy", "auto")
-    if strategy == "auto":
+    kind = kind_named(node.op)
+    if strategy == "auto" and kind is not None:
         # Ratios are keyed by the strategy that executed; an auto node's
-        # ratio lives under its default — the same mapping the planner
-        # applies when it scales the quote, so every scaled step is
-        # annotated.  (Query resolve nodes are records-mode: "pairwise".)
-        strategy = AUTO_DEFAULT_STRATEGY.get(node.op, strategy)
+        # ratio lives under its kind's default — the same mapping the
+        # planner applies when it scales the quote, so every scaled step is
+        # annotated.  (Query resolve nodes are records-mode, like a default
+        # spec: "pairwise".)
+        strategy = kind.default_strategy(kind.spec_type())
     call_ratio = stats.call_ratio(f"{node.op}:{strategy}")
     if call_ratio is not None and node.op != "filter":
         parts.append(f"call ratio observed {call_ratio:.2f}")

@@ -284,7 +284,7 @@ class TestEngineBudgetEnforcement:
         )
         words = random_words(12, seed=47)
         with pytest.raises(Exceeded):
-            engine.sort(SortSpec(items=words, criterion=CRITERION, strategy="pairwise"))
+            engine.run_spec(SortSpec(items=words, criterion=CRITERION, strategy="pairwise"))
         # The limit interrupted the 66-comparison batch near its start instead
         # of charging the whole batch after the fact.
         assert engine.session.tracker.calls < 5

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core.engine as engine_module
+import repro.core.kinds as kinds_module
 import repro.core.physical as physical_module
+from repro.core.engine import DeclarativeEngine
 from repro.core.physical import PhysicalPlanner
 from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec
@@ -63,7 +64,7 @@ class StubFilterOperator:
 @pytest.fixture
 def stubbed(monkeypatch):
     monkeypatch.setattr(physical_module, "FilterOperator", StubFilterOperator)
-    monkeypatch.setattr(engine_module, "FilterOperator", StubFilterOperator)
+    monkeypatch.setattr(kinds_module, "FilterOperator", StubFilterOperator)
 
 
 def _planner() -> PhysicalPlanner:
@@ -124,10 +125,10 @@ class TestPerPredicateResolution:
 
 class TestEngineIntegration:
     def test_engine_reports_and_executes_per_predicate_strategies(self, stubbed):
-        engine = engine_module.DeclarativeEngine.from_session(
+        engine = DeclarativeEngine.from_session(
             PromptSession(SimulatedLLM(flavor_oracle(), seed=7))
         )
-        result = engine.filter(_spec())
+        result = engine.run_spec(_spec())
         assert result.metadata["predicate_strategies"] == {
             "is easy": "per_item",
             "is hard": "ensemble_vote",

@@ -100,7 +100,7 @@ class TestDeclarativeEngine:
 
     def test_explicit_strategy_sort(self):
         engine = self._engine()
-        result = engine.sort(
+        result = engine.run_spec(
             SortSpec(items=list(FLAVORS), criterion=CHOCOLATEY, strategy="pairwise")
         )
         assert result.strategy == "pairwise"
@@ -109,7 +109,7 @@ class TestDeclarativeEngine:
 
     def test_auto_sort_without_validation_defaults_to_pairwise(self):
         engine = self._engine()
-        result = engine.sort(
+        result = engine.run_spec(
             SortSpec(items=list(FLAVORS[:8]), criterion=CHOCOLATEY, strategy="auto")
         )
         assert result.strategy == "pairwise"
@@ -123,13 +123,13 @@ class TestDeclarativeEngine:
             validation_order=list(FLAVORS[:6]),
             budget_dollars=0.0005,
         )
-        result = engine.sort(spec)
+        result = engine.run_spec(spec)
         assert result.strategy in {"single_prompt", "rating"}
 
     def test_engine_impute_auto(self):
         data = generate_restaurant_dataset(80, seed=92)
         engine = DeclarativeEngine(SimulatedLLM(data.oracle(), seed=93))
-        result = engine.impute(ImputeSpec(data=data, strategy="auto", validation_size=10))
+        result = engine.run_spec(ImputeSpec(data=data, strategy="auto", validation_size=10))
         assert result.strategy in {"knn", "hybrid", "llm_only"}
         assert set(result.predictions) == set(data.ground_truth)
 
@@ -137,7 +137,7 @@ class TestDeclarativeEngine:
         """Records-only resolve specs run whole-corpus clustering."""
         engine = DeclarativeEngine(SimulatedLLM(citation_corpus.oracle(), seed=94))
         texts = list(dict.fromkeys(citation_corpus.texts()))[:8]
-        result = engine.resolve(ResolveSpec(records=texts, strategy="pairwise"))
+        result = engine.run_spec(ResolveSpec(records=texts, strategy="pairwise"))
         assert sorted(index for cluster in result.clusters for index in cluster) == list(
             range(len(texts))
         )
@@ -145,7 +145,7 @@ class TestDeclarativeEngine:
     def test_engine_resolve_transitive(self, citation_corpus):
         engine = DeclarativeEngine(SimulatedLLM(citation_corpus.oracle(), seed=95))
         pairs = [(pair.left_text, pair.right_text) for pair in citation_corpus.pairs[:20]]
-        result = engine.resolve(
+        result = engine.run_spec(
             ResolveSpec(
                 pairs=pairs,
                 records=citation_corpus.texts(),
@@ -157,7 +157,7 @@ class TestDeclarativeEngine:
 
     def test_budget_is_shared_across_engine_calls(self):
         engine = self._engine(budget=Budget(limit=10.0))
-        engine.sort(SortSpec(items=list(FLAVORS[:6]), criterion=CHOCOLATEY, strategy="rating"))
+        engine.run_spec(SortSpec(items=list(FLAVORS[:6]), criterion=CHOCOLATEY, strategy="rating"))
         first_spend = engine.spent_dollars
-        engine.sort(SortSpec(items=list(FLAVORS[6:12]), criterion=CHOCOLATEY, strategy="rating"))
+        engine.run_spec(SortSpec(items=list(FLAVORS[6:12]), criterion=CHOCOLATEY, strategy="rating"))
         assert engine.spent_dollars > first_spend

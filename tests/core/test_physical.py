@@ -69,10 +69,10 @@ class TestFixedStrategiesPassThrough:
     def test_fixed_strategy_results_identical_to_direct_run(self):
         """The planner-routed engine behaves exactly like the seed engine."""
         items, oracle = product_corpus(n_entities=6, variants=2)
-        direct = clean_engine(oracle).sort(
+        direct = clean_engine(oracle).run_spec(
             SortSpec(items=items, criterion="important", strategy="pairwise")
         )
-        routed = clean_engine(oracle).sort(
+        routed = clean_engine(oracle).run_spec(
             SortSpec(items=items, criterion="important", strategy="pairwise")
         )
         assert direct.order == routed.order
@@ -125,15 +125,15 @@ class TestCostBasedDefaults:
     def test_auto_run_results_match_the_default_strategy_run(self):
         """Engine behavior at auto is unchanged from the old fixed mapping."""
         items, oracle = product_corpus(n_entities=6, variants=2)
-        auto = clean_engine(oracle).filter(FilterSpec(items=items, predicate="is a short name"))
-        fixed = clean_engine(oracle).filter(
+        auto = clean_engine(oracle).run_spec(FilterSpec(items=items, predicate="is a short name"))
+        fixed = clean_engine(oracle).run_spec(
             FilterSpec(items=items, predicate="is a short name", strategy="per_item")
         )
         assert auto.kept == fixed.kept
-        auto_k = clean_engine(oracle).top_k(
+        auto_k = clean_engine(oracle).run_spec(
             TopKSpec(items=items, criterion="important", k=3)
         )
-        fixed_k = clean_engine(oracle).top_k(
+        fixed_k = clean_engine(oracle).run_spec(
             TopKSpec(
                 items=items, criterion="important", k=3,
                 strategy="hybrid_rating_comparison",
@@ -156,7 +156,7 @@ class TestCostBasedBudgetFallback:
         resolved = engine.physical.resolve(spec)
         assert resolved.strategy == "rating"
         assert resolved.decided_by == "cost"
-        result = engine.sort(spec)
+        result = engine.run_spec(spec)
         assert result.strategy == "rating"
 
     def test_cluster_downgrades_to_single_prompt(self):
@@ -272,13 +272,13 @@ class TestEngineFeedsStats:
     def test_filter_run_records_observed_selectivity(self):
         items, oracle = product_corpus(n_entities=6, variants=2)
         engine = clean_engine(oracle)
-        engine.filter(FilterSpec(items=items, predicate="keeps everything"))
+        engine.run_spec(FilterSpec(items=items, predicate="keeps everything"))
         assert engine.stats.filter_selectivity("keeps everything") == pytest.approx(1.0)
 
     def test_resolve_records_dedup_ratio(self):
         items, oracle = product_corpus(n_entities=6, variants=2)
         engine = clean_engine(oracle)
-        result = engine.resolve(ResolveSpec(records=items, strategy="pairwise"))
+        result = engine.run_spec(ResolveSpec(records=items, strategy="pairwise"))
         observed = engine.stats.dedup_survivor_ratio()
         assert observed == pytest.approx(len(result.clusters) / len(items))
 
@@ -287,13 +287,13 @@ class TestEngineFeedsStats:
         engine = clean_engine(oracle)
         left = [item for item in items if "(refurb" not in item][:4]
         right = ["laptop device (refurb 1)"]
-        engine.join(JoinSpec(left=left, right=right, strategy="all_pairs"))
+        engine.run_spec(JoinSpec(left=left, right=right, strategy="all_pairs"))
         assert engine.stats.join_selectivity() == pytest.approx(0.25)
 
     def test_sort_records_exact_call_ratio(self):
         items, oracle = product_corpus(n_entities=5, variants=1)
         engine = clean_engine(oracle)
-        engine.sort(SortSpec(items=items, criterion="important", strategy="pairwise"))
+        engine.run_spec(SortSpec(items=items, criterion="important", strategy="pairwise"))
         # Pairwise executes exactly the quoted C(n, 2) comparisons.
         assert engine.stats.call_ratio("sort:pairwise") == pytest.approx(1.0)
 
@@ -304,7 +304,7 @@ class TestEngineFeedsStats:
         engine = clean_engine(oracle)
         single_dollars = engine.planner().single_prompt(items).dollars
         spec = ResolveSpec(records=items, budget_dollars=single_dollars * 1.05)
-        result = engine.resolve(spec)
+        result = engine.run_spec(spec)
         assert result.strategy == "single_prompt"  # the downgrade happened
         assert engine.stats.run_count("resolve:single_prompt") == 1
         assert engine.stats.run_count("resolve:pairwise") == 0
@@ -318,8 +318,8 @@ class TestEngineFeedsStats:
         their ratios under one "resolve:auto" key would corrupt both."""
         items, oracle = product_corpus(n_entities=6, variants=2)
         engine = clean_engine(oracle)
-        engine.resolve(ResolveSpec(records=items))
-        engine.resolve(
+        engine.run_spec(ResolveSpec(records=items))
+        engine.run_spec(
             ResolveSpec(pairs=[(items[0], items[1])], records=items, neighbors_k=1)
         )
         assert engine.stats.run_count("resolve:pairwise") == 1
@@ -330,7 +330,7 @@ class TestEngineFeedsStats:
         items, oracle = product_corpus(n_entities=6, variants=2)
         engine = clean_engine(oracle)
         pairs = [(items[0], items[1]), (items[2], items[3]), (items[4], items[5])]
-        engine.resolve(ResolveSpec(pairs=pairs, records=items, neighbors_k=1))
+        engine.run_spec(ResolveSpec(pairs=pairs, records=items, neighbors_k=1))
         # Pairs-path auto is labelled at its priced default ("transitive"),
         # keeping its ratio apart from records-path dedups.
         ratio = engine.stats.call_ratio("resolve:transitive")
@@ -544,7 +544,7 @@ class TestFilterCategorizeValidationSelection:
             predicate="mentions an animal",
             validation_labels=_FILTER_LABELS,
         )
-        result = engine.filter(spec)
+        result = engine.run_spec(spec)
         assert set(result.kept) <= set(_ANIMAL_ITEMS)
         assert result.usage.calls > 0
 
@@ -558,7 +558,7 @@ class TestFilterCategorizeValidationSelection:
         resolved = engine.physical.resolve(spec)
         assert resolved.decided_by == "validation"
         assert resolved.strategy in {"per_item", "self_consistency", "ensemble_vote"}
-        result = engine.categorize(spec)
+        result = engine.run_spec(spec)
         assert set(result.assignments.values()) <= {"animal", "other"}
 
     def test_small_label_sample_falls_back_to_cost(self):

@@ -298,7 +298,7 @@ class TestBudgetApportionment:
         sibling's spending counted against every later step's allocation and
         an affordable pipeline stopped early at concurrency 1."""
         probe = _flavor_engine()
-        one_branch = probe.sort(
+        one_branch = probe.run_spec(
             SortSpec(items=LEFT, criterion=CHOCOLATEY, strategy="rating")
         ).cost
         pipeline = PipelineSpec(
@@ -344,7 +344,7 @@ class TestBudgetApportionment:
         concurrent branches each stopped once their *combined* spend hit one
         allocation, stranding half the budget at max_concurrency > 1."""
         probe = _flavor_engine()
-        one_branch = probe.sort(
+        one_branch = probe.run_spec(
             SortSpec(items=LEFT, criterion=CHOCOLATEY, strategy="rating")
         ).cost
         pipeline = PipelineSpec(
@@ -381,7 +381,7 @@ class TestBudgetApportionment:
             ]
         )
         probe = _flavor_engine()
-        branch_cost = probe.sort(
+        branch_cost = probe.run_spec(
             SortSpec(items=RIGHT, criterion=CHOCOLATEY, strategy="rating")
         ).cost
         engine = _flavor_engine(budget=Budget(limit=1.3 * branch_cost))
@@ -439,7 +439,7 @@ class TestBudgetApportionment:
             ]
         )
         probe = _flavor_engine()
-        branch_cost = probe.sort(
+        branch_cost = probe.run_spec(
             SortSpec(items=RIGHT, criterion=CHOCOLATEY, strategy="rating")
         ).cost
         engine = _flavor_engine(budget=Budget(limit=2.2 * branch_cost))

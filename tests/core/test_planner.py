@@ -221,3 +221,47 @@ class TestCostPlannerProperties:
         assert plain.calls == len(pairs)
         # C(2k+2, 2) = 6 comparisons per queried pair at k = 1.
         assert augmented.calls == 6 * len(pairs)
+
+
+class _CountingCache:
+    """A response cache stub holding a fixed prompt set, counting probes."""
+
+    def __init__(self, cached: set[str]) -> None:
+        self.cached = cached
+        self.probes = 0
+
+    def contains(self, model: str, prompt: str) -> bool:
+        self.probes += 1
+        return prompt in self.cached
+
+
+class TestKnownHitQuoting:
+    def _quote(self, cache: _CountingCache):
+        from repro.llm.prompts import pairwise_comparison_prompt
+
+        items = [f"word{index:02d}" for index in range(20)]
+        cache.cached = {
+            pairwise_comparison_prompt(items[0], second, "c") for second in items[1:]
+        }
+        pipeline = PipelineSpec(
+            name="p",
+            steps=[PipelineStep("sort", task=SortSpec(items=items, criterion="c"))],
+        )
+        return CostPlanner("sim-gpt-3.5-turbo", response_cache=cache).quote_pipeline(pipeline)
+
+    def test_each_static_prompt_is_probed_once_per_quote(self):
+        cache = _CountingCache(set())
+        self._quote(cache)
+        assert cache.probes == 190  # C(20, 2) prompts, one probe each
+
+    def test_quote_totals_and_note_are_unchanged(self):
+        quote = self._quote(_CountingCache(set()))
+        assert quote.total_calls == 190
+        assert quote.notes == (
+            "persistent cache: 19 of 190 statically-known calls already cached "
+            "(priced at zero)",
+        )
+        uncached = CostPlanner("sim-gpt-3.5-turbo").estimate_spec(
+            SortSpec(items=[f"word{index:02d}" for index in range(20)], criterion="c")
+        )
+        assert quote.total_dollars == pytest.approx(uncached.dollars * (1 - 19 / 190))

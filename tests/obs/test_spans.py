@@ -236,6 +236,28 @@ class TestPersistence:
             pass
         assert tracker.flush() == 0  # swallowed, pipeline unharmed
 
+    def test_spans_survive_a_failed_flush(self, tmp_path):
+        store = Store(tmp_path / "spans.db")
+
+        class FailsOnce:
+            failures = 1
+
+            def save_spans(self, spans, *, origin):
+                if self.failures:
+                    self.failures -= 1
+                    raise OSError("database is locked")
+                store.save_spans(spans, origin=origin)
+
+        tracker = SpanTracker(store=FailsOnce())
+        with tracker.span("pipeline", "demo"):
+            tracker.record_span("call", "gpt")
+        assert tracker.flush() == 0
+        assert store.span_count() == 0
+        assert tracker.flush() == 2
+        loaded = store.load_spans(origin=tracker.origin)
+        assert [sp.kind for sp in loaded] == ["pipeline", "call"]
+        assert tracker.flush() == 0  # nothing left dirty
+
     def test_span_dict_roundtrip(self):
         sp = Span(
             span_id=3,

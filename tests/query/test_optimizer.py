@@ -194,15 +194,15 @@ class TestAcceptanceCriterion:
         assert optimized.items == naive.items
 
         engine = clean_engine(oracle)
-        resolve_result = engine.resolve(ResolveSpec(records=items, strategy="pairwise"))
+        resolve_result = engine.run_spec(ResolveSpec(records=items, strategy="pairwise"))
         representatives = [
             items[min(cluster)]
             for cluster in sorted(resolve_result.clusters, key=min)
         ]
-        filter_result = engine.filter(
+        filter_result = engine.run_spec(
             FilterSpec(items=representatives, predicate="is a short name")
         )
-        top_result = engine.top_k(
+        top_result = engine.run_spec(
             TopKSpec(
                 items=filter_result.kept,
                 criterion="important",

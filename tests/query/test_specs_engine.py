@@ -145,7 +145,7 @@ class TestEngineMethods:
         items, oracle = products
         oracle.register_predicate("is clean", lambda text: "(refurb" not in text)
         engine = clean_engine(oracle)
-        result = engine.filter(
+        result = engine.run_spec(
             FilterSpec(items=items, predicates=("is clean", "is a short name"))
         )
         expected = [
@@ -163,17 +163,17 @@ class TestEngineMethods:
     def test_categorize_and_cluster_and_top_k_and_join(self, products):
         items, oracle = products
         engine = clean_engine(oracle)
-        categorized = engine.categorize(
+        categorized = engine.run_spec(
             CategorizeSpec(items=items[:4], categories=["early", "late"])
         )
         assert categorized.assignments[items[0]] == "early"
-        clustered = engine.cluster(ClusterSpec(items=items[:4], strategy="single_prompt"))
+        clustered = engine.run_spec(ClusterSpec(items=items[:4], strategy="single_prompt"))
         assert sorted(i for c in clustered.clusters for i in c) == [0, 1, 2, 3]
-        top = engine.top_k(
+        top = engine.run_spec(
             TopKSpec(items=items[:6], criterion="important", k=2, strategy="rating_only")
         )
         assert len(top.top_items) == 2
-        joined = engine.join(
+        joined = engine.run_spec(
             JoinSpec(left=items[:2], right=items[:2], strategy="all_pairs")
         )
         assert (0, 0) in joined.matches
@@ -193,4 +193,4 @@ class TestEngineMethods:
         from repro.exceptions import BudgetExceededError
 
         with pytest.raises(BudgetExceededError):
-            engine.filter(FilterSpec(items=items, predicate="keeps everything"))
+            engine.run_spec(FilterSpec(items=items, predicate="keeps everything"))

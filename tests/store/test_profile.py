@@ -169,7 +169,7 @@ class TestWarmStartParity:
         with Store(path) as store:
             warm = PromptSession(animal_llm(), store=store)
             engine = DeclarativeEngine(session=warm)
-            engine.filter(spec)
+            engine.run_spec(spec)
             warm_quote = engine.planner().estimate_spec(
                 FilterSpec(items=ITEMS, predicate=PREDICATE, strategy="per_item")
             )

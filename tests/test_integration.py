@@ -152,6 +152,6 @@ class TestDeclarativeWorkflow:
             validation_order=list(FLAVORS[:6]),
             budget_dollars=0.05,
         )
-        result = engine.sort(spec)
+        result = engine.run_spec(spec)
         assert set(result.order).issubset(set(FLAVORS))
         assert engine.spent_dollars <= 0.05

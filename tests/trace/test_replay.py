@@ -54,7 +54,7 @@ class TestEntityResolutionReplay:
     def test_divergent_replay_fails_instead_of_inventing_answers(self):
         items, oracle = product_corpus(n_entities=4, variants=1)
         engine = clean_engine(oracle)
-        engine.sort(SortSpec(items=items, criterion="important", strategy="pairwise"))
+        engine.run_spec(SortSpec(items=items, criterion="important", strategy="pairwise"))
         records = engine.session.tracer.records()
         replay_eng = _replay_engine(records)
         different = SortSpec(
@@ -63,7 +63,7 @@ class TestEntityResolutionReplay:
             strategy="pairwise",
         )
         with pytest.raises(TraceError, match="live LLM call"):
-            replay_eng.sort(different)
+            replay_eng.run_spec(different)
 
 
 class TestCacheHeavyReplay:
@@ -71,15 +71,15 @@ class TestCacheHeavyReplay:
         items, oracle = product_corpus(n_entities=5, variants=1)
         spec = SortSpec(items=items, criterion="important", strategy="pairwise")
         engine = clean_engine(oracle)
-        first = engine.sort(spec)
-        second = engine.sort(spec)  # every call hits the session cache
+        first = engine.run_spec(spec)
+        second = engine.run_spec(spec)  # every call hits the session cache
         records = engine.session.tracer.records()
         assert any(record.cache_hit for record in records)
         assert second.order == first.order
 
         replay_eng = _replay_engine(records)
-        replayed_first = replay_eng.sort(spec)
-        replayed_second = replay_eng.sort(spec)
+        replayed_first = replay_eng.run_spec(spec)
+        replayed_second = replay_eng.run_spec(spec)
         assert replayed_first.order == first.order
         assert replayed_second.order == second.order
 

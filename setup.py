@@ -4,8 +4,11 @@ All metadata lives here (no ``pyproject.toml``) so the package installs in
 environments without the ``wheel`` package (``pip install -e .`` needs it
 for PEP 660 editable builds; ``python setup.py develop`` does not).
 
-The core package's one runtime dependency is numpy (the vector index,
-embeddings, join blocking and Dawid-Skene import it).  Extras:
+numpy is the only runtime dependency (the vector index, embeddings, join
+blocking and Dawid-Skene import it).  The ranking metrics (Kendall Tau-b,
+Spearman) and the match graphs behind entity resolution are stdlib-only.
+``tests/test_dependencies.py`` checks that every import is declared here.
+Extras:
 
 ``serve``
     uvicorn, for running :func:`repro.service.serve` as a real HTTP

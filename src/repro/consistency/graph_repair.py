@@ -37,13 +37,8 @@ def _common_neighbor_support(
     graph: MatchGraph, left: Hashable, right: Hashable
 ) -> int:
     """Number of two-hop positive paths between two records."""
-    neighbors_left = {
-        node for node in graph.nodes if graph.has_match_edge(left, node) and node != right
-    }
-    neighbors_right = {
-        node for node in graph.nodes if graph.has_match_edge(right, node) and node != left
-    }
-    return len(neighbors_left & neighbors_right)
+    shared = (graph.neighbors(left) - {right}) & (graph.neighbors(right) - {left})
+    return len(shared)
 
 
 def repair_with_evidence(

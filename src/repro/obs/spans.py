@@ -123,9 +123,10 @@ class SpanTracker:
     """Thread-safe bounded collector for a session's span tree.
 
     Spans are kept in insertion order, evicted FIFO past *capacity*
-    (counting drops rather than failing), and persisted to the store's
-    ``spans`` table under a per-tracker ``origin`` — mirroring the trace
-    ring's contract so the two can be joined by ``TraceRecord.span_id``.
+    (counting the evicted spans not yet flushed rather than failing), and
+    persisted to the store's ``spans`` table under a per-tracker
+    ``origin`` — mirroring the trace ring's contract so the two can be
+    joined by ``TraceRecord.span_id``.
 
     Setting ``enabled`` to ``False`` turns every entry point into a
     near-no-op: :meth:`span` yields ``None`` without touching the
@@ -262,8 +263,10 @@ class SpanTracker:
             self._dirty.add(sp.span_id)
             while len(self._spans) > self.capacity:
                 evicted_id, _ = self._spans.popitem(last=False)
-                self._dirty.discard(evicted_id)
-                self._dropped += 1
+                # As in the trace ring: only an unflushed span is lost.
+                if evicted_id in self._dirty:
+                    self._dirty.discard(evicted_id)
+                    self._dropped += 1
 
     # -- reading -----------------------------------------------------
 
@@ -294,6 +297,7 @@ class SpanTracker:
 
     @property
     def dropped(self) -> int:
+        """How many spans were evicted before they reached the store."""
         with self._lock:
             return self._dropped
 

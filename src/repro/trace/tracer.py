@@ -153,10 +153,10 @@ class Tracer:
             flushed into its ``traces`` table best-effort (failures are
             swallowed — tracing must never sink the traced call).
         flush_every: how many unflushed records trigger an automatic flush.
-        on_drop: optional callback invoked with the eviction count each time
-            the ring evicts records (the session wires this to the
-            ``trace_records_dropped_total`` counter); called outside the
-            tracer lock, and its failures are swallowed.
+        on_drop: optional callback invoked with the drop count each time the
+            ring evicts records that never reached the store (the session
+            wires this to the ``trace_records_dropped_total`` counter);
+            called outside the tracer lock, and its failures are swallowed.
     """
 
     def __init__(
@@ -197,16 +197,19 @@ class Tracer:
             record = TraceRecord(call_id=call_id, **traced)
             self._records[call_id] = record
             self._dirty.add(call_id)
-            evictions = 0
+            drops = 0
             while len(self._records) > self.capacity:
                 evicted_id, _ = self._records.popitem(last=False)
-                self._dirty.discard(evicted_id)
-                self._dropped += 1
-                evictions += 1
+                # Only an unflushed record is lost; without a store nothing
+                # is ever flushed, so there every eviction counts.
+                if evicted_id in self._dirty:
+                    self._dirty.discard(evicted_id)
+                    self._dropped += 1
+                    drops += 1
             should_flush = len(self._dirty) >= self.flush_every
-        if evictions and self.on_drop is not None:
+        if drops and self.on_drop is not None:
             try:
-                self.on_drop(evictions)
+                self.on_drop(drops)
             except Exception:
                 pass
         if should_flush:
@@ -241,7 +244,7 @@ class Tracer:
 
     @property
     def dropped(self) -> int:
-        """How many records the ring has evicted so far."""
+        """How many records the ring evicted before they reached the store."""
         with self._lock:
             return self._dropped
 

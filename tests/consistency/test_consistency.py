@@ -42,6 +42,17 @@ class TestMatchGraph:
         assert {"a", "b"} in components
         assert {"z"} in components
 
+    def test_nodes_and_components_follow_insertion_order(self):
+        graph = MatchGraph()
+        graph.add_node("z")
+        graph.add_match("c", "a")
+        graph.add_non_match("b", "z")
+        graph.add_match("b", "a")
+        assert graph.nodes == ["z", "c", "a", "b"]
+        assert graph.components() == [{"z"}, {"a", "b", "c"}]
+        assert graph.neighbors("a") == {"b", "c"}
+        assert graph.neighbors("unknown") == set()
+
     def test_unknown_nodes_not_connected(self):
         graph = MatchGraph()
         graph.add_match("a", "b")

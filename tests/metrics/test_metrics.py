@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.exceptions import DatasetError
@@ -44,6 +46,19 @@ class TestKendallTau:
         scores = {"a": 3.0, "b": 3.0, "c": 1.0}
         value = kendall_tau_b_from_scores(scores, ["a", "b", "c"])
         assert 0.0 < value < 1.0  # ties prevent a perfect score
+
+    def test_tied_scores_give_the_exact_tau_b(self):
+        # tot = 3 pairs, one tied in the scores, none discordant.
+        value = kendall_tau_b_from_scores({"a": 3, "b": 3, "c": 1}, ["a", "b", "c"])
+        assert value == 2 / math.sqrt(2) / math.sqrt(3)
+
+    def test_all_tied_scores_give_nan(self):
+        assert math.isnan(kendall_tau_b_from_scores({"a": 1, "b": 1}, ["a", "b"]))
+
+    def test_spearman_averages_tied_ranks_and_is_nan_when_constant(self):
+        # "a" twice shares true position 0: ranks (1.5, 1.5, 3) against (1, 2, 3).
+        assert spearman_rho(["a", "a", "b"], ["a", "b"]) == pytest.approx(math.sqrt(3) / 2)
+        assert math.isnan(spearman_rho(["a", "a"], ["a", "b"]))
 
     def test_spearman_identical(self):
         assert spearman_rho(["a", "b", "c"], ["a", "b", "c"]) == pytest.approx(1.0)

@@ -130,6 +130,18 @@ class TestCapacityAndDisable:
         assert tracker.dropped == 2
         assert [sp.label for sp in tracker.spans()] == ["c2", "c3", "c4"]
 
+    def test_evicting_flushed_spans_drops_nothing(self):
+        tracker = SpanTracker(capacity=3, store=Store(":memory:"))
+        for index in range(3):
+            tracker.record_span("call", f"c{index}")
+        assert tracker.flush() == 3
+        for index in range(3, 6):
+            tracker.record_span("call", f"c{index}")
+        assert len(tracker) == 3
+        assert tracker.dropped == 0
+        tracker.record_span("call", "c6")  # evicts c3, never flushed
+        assert tracker.dropped == 1
+
     def test_disabled_tracker_is_a_no_op(self):
         tracker = SpanTracker(enabled=False)
         with tracker.span("pipeline") as sp:

@@ -165,6 +165,36 @@ class TestStoreFlush:
         loaded = store.trace_records()
         assert [record.prompt for record in loaded] == ["p2", "p3", "p4"]
 
+    def test_evicting_flushed_records_drops_nothing(self):
+        evicted: list[int] = []
+        tracer = Tracer(
+            capacity=3, store=Store(":memory:"), flush_every=1, on_drop=evicted.append
+        )
+        for i in range(10):
+            tracer.record(model="m", prompt=f"p{i}")
+        assert len(tracer) == 3
+        assert tracer.dropped == 0
+        assert tracer.summarize_records()["dropped"] == 0
+        assert evicted == []
+
+    def test_evicting_unflushed_records_counts_each_drop(self):
+        evicted: list[int] = []
+        tracer = Tracer(
+            capacity=3, store=Store(":memory:"), flush_every=1000, on_drop=evicted.append
+        )
+        for i in range(5):
+            tracer.record(model="m", prompt=f"p{i}")
+        assert tracer.dropped == 2
+        assert evicted == [1, 1]
+
+    def test_storeless_ring_counts_every_eviction(self):
+        evicted: list[int] = []
+        tracer = Tracer(capacity=3, flush_every=1, on_drop=evicted.append)
+        for i in range(10):
+            tracer.record(model="m", prompt=f"p{i}")
+        assert tracer.dropped == 7
+        assert evicted == [1] * 7
+
     def test_store_rejects_nonpositive_trace_cap(self):
         with pytest.raises(ValueError):
             Store(":memory:", max_trace_records=0)
